@@ -192,11 +192,11 @@ def monomial_rank(exponents):
     product of (ai + 1) over i >= 1; zero exponents are irrelevant because
     the monomial lives in the smaller variable set.
     """
+    if any(e < 0 for e in exponents):
+        raise ValueError("exponents must be nonnegative")
     positive = sorted(e for e in exponents if e > 0)
     if not positive:
         raise AllZero("constant monomials have no Waring rank")
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be nonnegative")
     return prod(e + 1 for e in positive) // (positive[0] + 1)
 
 
@@ -228,6 +228,8 @@ def decompose_check(form, points):
     """
     if form.is_zero():
         raise ZeroPolynomial("decomposition of the zero form")
+    if not points:
+        raise ValueError("decomposition needs at least one point")
     seen = []
     for pt in points:
         if len(pt) != form.num_vars:

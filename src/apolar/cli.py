@@ -33,28 +33,33 @@ _INPUT_ERRORS = (ParseError, NotHomogeneous, DegreeOutOfRange, ZeroPolynomial,
                  json.JSONDecodeError, ZeroDivisionError)
 
 
-def _common_flags():
+def _leaf_flags():
+    """Parent parsers for leaf commands: every command's flags, and those plus
+    the sampling flags that only `secant-dim` and `paper-fixtures` honour."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    common.add_argument("--trials", type=int, default=3,
-                        help="independent random trials for dimension estimates")
-    common.add_argument("--arithmetic", choices=["exact", "modular"], default="exact",
-                        help="exact rational arithmetic or modular lower-bound mode")
-    common.add_argument("--modulus", type=int, default=DEFAULT_MODULUS,
-                        help="prime modulus for --arithmetic modular")
     common.add_argument("--output", choices=["text", "json"], default="text")
-    return common
+    sampling = argparse.ArgumentParser(add_help=False, parents=[common])
+    sampling.add_argument("--trials", type=int, default=3,
+                          help="independent random trials for dimension estimates")
+    sampling.add_argument("--arithmetic", choices=["exact", "modular"], default="exact",
+                          help="exact rational arithmetic or modular lower-bound mode")
+    sampling.add_argument("--modulus", type=int, default=DEFAULT_MODULUS,
+                          help="prime modulus for --arithmetic modular")
+    return common, sampling
 
 
 def build_parser():
-    common = _common_flags()
+    common, sampling = _leaf_flags()
     parser = argparse.ArgumentParser(
         prog="apolar",
         description="Exact Waring ranks, apolar ideals, catalecticants, "
                     "tensor flattenings and secant-variety dimensions.")
+    # provenance of commands without the sampling flags records these values
+    parser.set_defaults(trials=3, arithmetic="exact", modulus=DEFAULT_MODULUS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rank", parents=[common], help="Waring rank of a form")
+    p = sub.add_parser("rank", help="Waring rank of a form")
     rank_sub = p.add_subparsers(dest="kind", required=True)
     q = rank_sub.add_parser("binary", parents=[common])
     q.add_argument("--form", required=True)
@@ -87,13 +92,13 @@ def build_parser():
     p.add_argument("--points", required=True,
                    help="semicolon-separated points, e.g. '1,1;-1,1;0,1'")
 
-    p = sub.add_parser("secant-dim", parents=[common], help="secant-variety dimension")
+    p = sub.add_parser("secant-dim", help="secant-variety dimension")
     var_sub = p.add_subparsers(dest="variety", required=True)
-    q = var_sub.add_parser("veronese", parents=[common])
+    q = var_sub.add_parser("veronese", parents=[sampling])
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--s", type=int, required=True)
-    q = var_sub.add_parser("segre", parents=[common])
+    q = var_sub.add_parser("segre", parents=[sampling])
     q.add_argument("--dims", required=True, help="comma-separated, e.g. 1,1,1")
     q.add_argument("--s", type=int, required=True)
 
@@ -101,7 +106,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
 
-    p = sub.add_parser("tensor", parents=[common], help="tensor computations")
+    p = sub.add_parser("tensor", help="tensor computations")
     t_sub = p.add_subparsers(dest="action", required=True)
     q = t_sub.add_parser("flatten", parents=[common])
     q.add_argument("--file", default="-")
@@ -117,7 +122,7 @@ def build_parser():
     q.add_argument("--file", default="-")
     q.add_argument("--r", type=int, required=True)
 
-    p = sub.add_parser("paper-fixtures", parents=[common],
+    p = sub.add_parser("paper-fixtures", parents=[sampling],
                        help="run the golden suite of published values")
     p.add_argument("--list", action="store_true", help="print fixture names only")
 

@@ -4,8 +4,7 @@ Scalars are `fractions.Fraction` (arbitrary-precision, always reduced,
 positive denominator).  Rank and determinant run fraction-free: each row is
 scaled to integers by the lcm of its denominators, then eliminated Bareiss
 style, so intermediate entries stay integral minors instead of exploding
-fractions.  Kernels and linear solves use plain rational Gauss-Jordan, which
-doubles as an independent cross-check of the fraction-free path.
+fractions.  Kernels and linear solves use plain rational Gauss-Jordan.
 """
 
 from fractions import Fraction
@@ -38,14 +37,6 @@ class QMatrix:
             flat.extend(row)
         return cls(rows, cols, flat)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
     def at(self, i, j):
         return self.entries[i * self.cols + j]
 
@@ -54,10 +45,6 @@ class QMatrix:
 
     def row_lists(self):
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self):
-        return QMatrix(self.cols, self.rows,
-                       [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
 
     def __eq__(self, other):
         return (isinstance(other, QMatrix) and self.rows == other.rows
@@ -217,36 +204,3 @@ def solve_linear(matrix, rhs):
     for r, pc in enumerate(pivots):
         sol[pc] = aug[r][matrix.cols]
     return sol
-
-
-def rank_fraction_gauss(matrix):
-    """Rank by naive rational-pivot elimination (cross-check route)."""
-    work = matrix.row_lists()
-    return len(_rref(work, matrix.cols))
-
-
-def det_fraction_gauss(matrix):
-    """Determinant by naive rational elimination (cross-check route)."""
-    if matrix.rows != matrix.cols:
-        raise NonSquareError("determinant of %d x %d matrix" % (matrix.rows, matrix.cols))
-    n = matrix.rows
-    work = matrix.row_lists()
-    det = Fraction(1)
-    for c in range(n):
-        piv = -1
-        for i in range(c, n):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            return Fraction(0)
-        if piv != c:
-            work[piv], work[c] = work[c], work[piv]
-            det = -det
-        det *= work[c][c]
-        inv = Fraction(1) / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return det

@@ -1,17 +1,14 @@
 """Rank over a prime field, as a fast probabilistic lower-bound mode.
 
-The elimination kernel is numba-compiled when numba is importable; setting
-the environment variable ``APOLAR_NO_NUMBA=1`` (or running without numba
-installed) selects a pure-numpy fallback implementing the identical
-algorithm.  Both paths work on int64 arrays, which is why the modulus must
-stay below 2^31: all intermediate products then fit in a signed 64-bit word.
+One numpy kernel reduces the matrix to int64 residues and runs Gaussian
+elimination mod p on whole rows at once.  The modulus must stay below 2^31
+so that every intermediate product of two residues fits in a signed 64-bit
+word.
 
 Ranks computed here never exceed the exact rational rank, so every figure
 derived from this mode is a certified lower bound and is flagged as
 probabilistic by callers.
 """
-
-import os
 
 import numpy as np
 
@@ -20,18 +17,6 @@ from fractions import Fraction
 DEFAULT_MODULUS = (1 << 31) - 1  # Mersenne prime 2^31 - 1
 
 _MAX_MODULUS = 1 << 31
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba present in normal installs
-    _HAVE_NUMBA = False
-
-
-def numba_active():
-    """True when the compiled kernel will be used for modular ranks."""
-    return _HAVE_NUMBA and not os.environ.get("APOLAR_NO_NUMBA")
 
 
 def is_prime(n):
@@ -59,46 +44,6 @@ def is_prime(n):
     return True
 
 
-class PrimeField:
-    """Residue scalar: value in [0, modulus) for a prime modulus < 2^31."""
-
-    __slots__ = ("modulus", "value")
-
-    def __init__(self, modulus, value):
-        if modulus >= _MAX_MODULUS or not is_prime(modulus):
-            raise ValueError("modulus must be a prime below 2^31")
-        self.modulus = modulus
-        self.value = value % modulus
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeField):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other.value
-        return other % self.modulus
-
-    def __add__(self, other):
-        return PrimeField(self.modulus, self.value + self._coerce(other))
-
-    def __sub__(self, other):
-        return PrimeField(self.modulus, self.value - self._coerce(other))
-
-    def __mul__(self, other):
-        return PrimeField(self.modulus, self.value * self._coerce(other))
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero residue")
-        return PrimeField(self.modulus, pow(self.value, self.modulus - 2, self.modulus))
-
-    def __eq__(self, other):
-        return (isinstance(other, PrimeField) and self.modulus == other.modulus
-                and self.value == other.value)
-
-    def __repr__(self):
-        return "PrimeField(%d, %d)" % (self.modulus, self.value)
-
-
 def _reduce_entry(entry, p):
     if isinstance(entry, Fraction):
         den = entry.denominator % p
@@ -118,7 +63,8 @@ def reduce_matrix(rows_of_entries, p):
     return np.array(data, dtype=np.int64)
 
 
-def _rank_mod_numpy(a, p):
+def _eliminate(a, p):
+    """Row-reduce the residue array `a` in place; returns its rank mod p."""
     rows, cols = a.shape
     r = 0
     for c in range(cols):
@@ -139,46 +85,6 @@ def _rank_mod_numpy(a, p):
     return r
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _rank_mod_njit(a, p):  # pragma: no cover - exercised via dispatch
-        rows, cols = a.shape
-        r = 0
-        for c in range(cols):
-            piv = -1
-            for i in range(r, rows):
-                if a[i, c] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for j in range(c, cols):
-                    t = a[r, j]
-                    a[r, j] = a[piv, j]
-                    a[piv, j] = t
-            base = a[r, c]
-            e = p - 2
-            inv = 1
-            while e > 0:
-                if e & 1:
-                    inv = inv * base % p
-                base = base * base % p
-                e >>= 1
-            for j in range(c, cols):
-                a[r, j] = a[r, j] * inv % p
-            for i in range(r + 1, rows):
-                f = a[i, c]
-                if f != 0:
-                    for j in range(c, cols):
-                        a[i, j] = (a[i, j] - f * a[r, j]) % p
-            r += 1
-            if r == rows:
-                break
-        return r
-
-
 def rank_mod(rows_of_entries, p=DEFAULT_MODULUS):
     """Rank of the matrix over GF(p); a lower bound for the rational rank."""
     if not is_prime(p):
@@ -186,6 +92,4 @@ def rank_mod(rows_of_entries, p=DEFAULT_MODULUS):
     a = reduce_matrix(rows_of_entries, p)
     if a.shape[0] == 0 or a.shape[1] == 0:
         return 0
-    if numba_active():
-        return int(_rank_mod_njit(a, p))
-    return _rank_mod_numpy(a, p)
+    return _eliminate(a, p)

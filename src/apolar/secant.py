@@ -13,6 +13,7 @@ dimensions instead.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb, prod
 
 from . import modular
@@ -109,18 +110,10 @@ def _veronese_gradient_rows(n, d, points):
     return rows
 
 
-def _multi_indices(sizes):
-    """All multi-indices in row-major order (last index fastest)."""
-    out = [()]
-    for size in sizes:
-        out = [idx + (k,) for idx in out for k in range(size)]
-    return out
-
-
 def _segre_tangent_rows(dims, factor_lists):
     """Tangent spanning vectors of rank-one tensors, one row per replacement."""
     sizes = [m + 1 for m in dims]
-    index_list = _multi_indices(sizes)
+    index_list = list(product(*map(range, sizes)))  # row-major, last index fastest
     rows = []
     for factors in factor_lists:
         for i in range(len(sizes)):

@@ -15,6 +15,7 @@ most 4.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 from .linalg import QMatrix, mat_det, mat_rank
@@ -86,14 +87,6 @@ class DenseTensor:
         return "DenseTensor(shape=%r)" % (self.shape,)
 
 
-def _group_indices(shape, modes):
-    """Multi-indices of the listed modes (ascending), lexicographic order."""
-    out = [()]
-    for m in modes:
-        out = [idx + (k,) for idx in out for k in range(shape[m])]
-    return out
-
-
 def flatten(tensor, left_modes):
     """Matrix of the tensor with the given modes (1-based) indexing rows."""
     order = len(tensor.shape)
@@ -102,8 +95,8 @@ def flatten(tensor, left_modes):
         raise InvalidModeSet("left modes must be a nonempty proper subset of 1..%d" % order)
     left = [m - 1 for m in left]
     right = [m for m in range(order) if m not in left]
-    row_idx = _group_indices(tensor.shape, left)
-    col_idx = _group_indices(tensor.shape, right)
+    row_idx = product(*(range(tensor.shape[m]) for m in left))
+    col_idx = list(product(*(range(tensor.shape[m]) for m in right)))
     rows = []
     for ri in row_idx:
         row = []

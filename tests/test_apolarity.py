@@ -81,7 +81,8 @@ def test_generic_quartic_catalecticant_entries():
 def test_generic_quartic_catalecticant_is_invertible():
     # a random-coefficient quartic realizes the generic nonvanishing of the
     # 6x6 determinant; both elimination routes must agree on it
-    from apolar.linalg import det_fraction_gauss, mat_det
+    from apolar.linalg import mat_det
+    from oracles import det_fraction_gauss
     rng = random.Random(99)
     f = rand_form(rng, 3, 4, bound=1000)
     cat = catalecticant(f, 2).matrix
@@ -227,6 +228,8 @@ def test_monomial_rank():
     assert monomial_rank([0, 2, 0, 3]) == monomial_rank([2, 3]) == 4
     with pytest.raises(AllZero):
         monomial_rank([0, 0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        monomial_rank([-1, -2])
 
 
 def test_monomial_rank_matches_sylvester_on_binary():
@@ -268,6 +271,8 @@ def test_decompose_check_pure_power_and_errors():
     assert decompose_check(f, [[2, 5]]) == [Fraction(1)]
     with pytest.raises(DuplicatePoints):
         decompose_check(f, [[1, 1], [2, 2]])
+    with pytest.raises(ValueError, match="at least one point"):
+        decompose_check(f, [])
 
 
 def test_decompose_success_bounds_sylvester():

@@ -212,3 +212,17 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["rank", "binary"])  # missing --form
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # flags before the leaf command were silently replaced by its defaults
+    ["secant-dim", "--seed", "5", "--output", "json", "veronese",
+     "--n", "2", "--d", "2", "--s", "2"],
+    # hilbert runs exact arithmetic only; provenance must not claim modular
+    ["hilbert", "--generic", "2", "4", "--arithmetic", "modular", "--output", "json"],
+])
+def test_flags_rejected_where_not_honoured(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

@@ -6,14 +6,22 @@ from fractions import Fraction
 
 import pytest
 
-from apolar.linalg import (NonSquareError, QMatrix, det_fraction_gauss,
-                           mat_det, mat_kernel, mat_rank, rank_fraction_gauss,
-                           rank_int_rows, solve_linear)
+from apolar.linalg import (NonSquareError, QMatrix, mat_det, mat_kernel,
+                           mat_rank, rank_int_rows, solve_linear)
+from oracles import det_fraction_gauss, rank_fraction_gauss
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
     return QMatrix.from_rows([[rng.randint(lo, hi) for _ in range(cols)]
                               for _ in range(rows)])
+
+
+def identity(n):
+    return QMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def zero(rows, cols):
+    return QMatrix.from_rows([[0] * cols for _ in range(rows)])
 
 
 def test_rational_scalars_stay_reduced():
@@ -24,7 +32,7 @@ def test_rational_scalars_stay_reduced():
 
 
 def test_identity_rank_det_kernel():
-    m = QMatrix.identity(3)
+    m = identity(3)
     assert mat_rank(m) == 3
     assert mat_det(m) == 1
     assert mat_kernel(m) == []
@@ -46,12 +54,12 @@ def test_two_by_two_det():
 
 def test_det_requires_square():
     with pytest.raises(NonSquareError):
-        mat_det(QMatrix.zero(2, 3))
+        mat_det(zero(2, 3))
 
 
 def test_kernel_of_zero_and_identity():
-    assert len(mat_kernel(QMatrix.zero(2, 3))) == 3
-    assert mat_kernel(QMatrix.identity(4)) == []
+    assert len(mat_kernel(zero(2, 3))) == 3
+    assert mat_kernel(identity(4)) == []
 
 
 def test_kernel_vectors_annihilate():
@@ -65,8 +73,8 @@ def test_kernel_vectors_annihilate():
 
 def test_solve_identity_and_infeasible():
     b = [Fraction(3), Fraction(-1)]
-    assert solve_linear(QMatrix.identity(2), b) == b
-    assert solve_linear(QMatrix.zero(2, 2), [1, 0]) is None
+    assert solve_linear(identity(2), b) == b
+    assert solve_linear(zero(2, 2), [1, 0]) is None
 
 
 def test_solve_consistency_random():
@@ -85,7 +93,7 @@ def test_rank_equals_transpose_rank():
     rng = random.Random(4)
     for _ in range(100):
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert mat_rank(m) == mat_rank(m.transpose())
+        assert mat_rank(m) == mat_rank(QMatrix.from_rows(list(zip(*m.row_lists()))))
 
 
 def test_rank_plus_nullity():

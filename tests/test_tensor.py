@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from apolar.linalg import det_fraction_gauss, mat_det, mat_rank, rank_fraction_gauss
+from apolar.linalg import mat_det, mat_rank
 from apolar.tensor import (DenseTensor, InvalidModeSet, WrongShape, flatten,
                            format_rational, gss_minor_test, matmul_tensor,
                            multilinear_rank, parse_rational,
                            strassen_det_symbolic, strassen_matrix,
                            tensor_from_json, tensor_to_json)
+from oracles import det_fraction_gauss, rank_fraction_gauss
 
 
 def rand_rank_one(rng, shape, lo=-9, hi=9):
