@@ -6,7 +6,7 @@ from .apolarity import (ApolarProfile, CatalecticantMatrix, RankCertificate,
                         sylvester_rank)
 from .linalg import QMatrix, mat_det, mat_kernel, mat_rank, solve_linear
 from .poly import (HomogPoly, apolar_apply, monomial_basis, parse_poly,
-                   power_linear, render_poly, veronese_tangent_basis)
+                   power_linear, render_poly)
 from .secant import (DimReport, Segre, Veronese, big_waring_g, defect_report,
                      expected_dim, terracini_dim_segre, terracini_dim_veronese)
 from .tensor import (DenseTensor, flatten, gss_minor_test, matmul_tensor,
@@ -24,5 +24,4 @@ __all__ = [
     "perp_piece", "power_linear", "quadratic_rank", "render_poly",
     "solve_linear", "strassen_det_symbolic", "strassen_matrix",
     "sylvester_rank", "terracini_dim_segre", "terracini_dim_veronese",
-    "veronese_tangent_basis",
 ]

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .linalg import QMatrix, mat_kernel, mat_rank, solve_linear
+from .linalg import QMatrix, check_entries, mat_kernel, mat_rank, solve_linear
 from .poly import (HomogPoly, apolar_apply, canonical_point, monomial_basis,
-                   monomial_index, power_linear)
+                   monomial_count, monomial_index, power_linear)
 
 
 class DegreeOutOfRange(ValueError):
@@ -39,14 +39,6 @@ class CatalecticantMatrix:
     t: int
     matrix: QMatrix          # rows: monomials of degree d-t, cols: degree t
 
-    @property
-    def row_basis(self):
-        return monomial_basis(self.form.num_vars, self.form.degree - self.t)
-
-    @property
-    def col_basis(self):
-        return monomial_basis(self.form.num_vars, self.t)
-
 
 @dataclass
 class ApolarProfile:
@@ -63,8 +55,6 @@ class RankCertificate:
 
     SQUARE_FREE_AT_D1 = "square_free_at_d1"
     FELL_THROUGH_TO_D2 = "fell_through_to_d2"
-    FORMULA = "formula"
-    MATRIX_RANK = "matrix_rank"
 
 
 def catalecticant(form, t):
@@ -73,6 +63,7 @@ def catalecticant(form, t):
     if t < 0 or t > d:
         raise DegreeOutOfRange("t = %d outside [0, %d]" % (t, d))
     n = form.num_vars
+    check_entries(monomial_count(n, d - t) * monomial_count(n, t), "catalecticant")
     col_mons = monomial_basis(n, t)
     row_index = monomial_index(n, d - t)
     rows = len(row_index)
@@ -92,6 +83,7 @@ def perp_piece(form, t):
         raise ZeroPolynomial("annihilator of the zero form is everything")
     n = form.num_vars
     if t > form.degree:
+        check_entries(monomial_count(n, t), "degree-%d monomial basis" % t)
         return [HomogPoly.monomial(m) for m in monomial_basis(n, t)]
     kernel = mat_kernel(catalecticant(form, t).matrix)
     return [HomogPoly.from_coeff_vector(n, t, vec) for vec in kernel]
@@ -105,7 +97,7 @@ def hilbert_function(form):
     n = form.num_vars
     hf = [mat_rank(catalecticant(form, t).matrix) for t in range(d + 1)]
     hf.append(0)
-    perp_dims = [len(monomial_basis(n, t)) - hf[t] for t in range(d + 2)]
+    perp_dims = [monomial_count(n, t) - hf[t] for t in range(d + 2)]
     return ApolarProfile(form, hf, perp_dims)
 
 
@@ -239,6 +231,7 @@ def decompose_check(form, points):
             raise DuplicatePoints("points must be pairwise distinct up to scale")
         seen.append(canon)
     d = form.degree
+    check_entries(monomial_count(form.num_vars, d) * len(points), "decomposition system")
     columns = [power_linear(pt, d).coeff_vector() for pt in points]
     rows = len(columns[0])
     system = QMatrix.from_rows([[col[i] for col in columns] for i in range(rows)])

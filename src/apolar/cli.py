@@ -17,10 +17,10 @@ from .apolarity import (AllZero, DegreeOutOfRange, DuplicatePoints,
                         ZeroPolynomial, catalecticant, decompose_check,
                         hilbert_function, monomial_rank, perp_piece,
                         quadratic_rank, sylvester_rank)
-from .linalg import NonSquareError, mat_rank
+from .linalg import NonSquareError, check_entries, mat_rank
 from .modular import DEFAULT_MODULUS, is_prime
 from .poly import (HomogPoly, NotHomogeneous, ParseError, infer_num_vars,
-                   monomial_basis, parse_poly, render_poly)
+                   monomial_basis, monomial_count, parse_poly, render_poly)
 from .seeding import random_coefficients, trial_rng
 from .tensor import (InvalidModeSet, WrongShape, flatten, format_rational,
                      gss_minor_test, matmul_tensor, multilinear_rank,
@@ -49,6 +49,23 @@ def _leaf_flags():
     return common, sampling
 
 
+class _BeforeSubcommand(argparse.Action):
+    """A leaf flag given before its subcommand word, where argparse would
+    take the flag's value for that word: exit 2 naming the flag instead."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error("%s goes after the subcommand word, not before it" % option_string)
+
+
+def _reject_before_subcommand(parser, sampling=False):
+    flags = ["--seed", "--output"]
+    if sampling:
+        flags += ["--trials", "--arithmetic", "--modulus"]
+    for flag in flags:
+        parser.add_argument(flag, action=_BeforeSubcommand,
+                            default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+
+
 def build_parser():
     common, sampling = _leaf_flags()
     parser = argparse.ArgumentParser(
@@ -57,9 +74,11 @@ def build_parser():
                     "tensor flattenings and secant-variety dimensions.")
     # provenance of commands without the sampling flags records these values
     parser.set_defaults(trials=3, arithmetic="exact", modulus=DEFAULT_MODULUS)
+    _reject_before_subcommand(parser, sampling=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rank", help="Waring rank of a form")
+    _reject_before_subcommand(p)
     rank_sub = p.add_subparsers(dest="kind", required=True)
     q = rank_sub.add_parser("binary", parents=[common])
     q.add_argument("--form", required=True)
@@ -93,6 +112,7 @@ def build_parser():
                    help="semicolon-separated points, e.g. '1,1;-1,1;0,1'")
 
     p = sub.add_parser("secant-dim", help="secant-variety dimension")
+    _reject_before_subcommand(p, sampling=True)
     var_sub = p.add_subparsers(dest="variety", required=True)
     q = var_sub.add_parser("veronese", parents=[sampling])
     q.add_argument("--n", type=int, required=True)
@@ -107,6 +127,7 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
 
     p = sub.add_parser("tensor", help="tensor computations")
+    _reject_before_subcommand(p)
     t_sub = p.add_subparsers(dest="action", required=True)
     q = t_sub.add_parser("flatten", parents=[common])
     q.add_argument("--file", default="-")
@@ -227,6 +248,7 @@ def _cmd_hilbert(args):
         n, d = args.generic
         if not 1 <= n + 1 <= 16 or not 1 <= d <= 64:
             raise ValueError("--generic needs 1 <= N <= 15 and 1 <= D <= 64")
+        check_entries(monomial_count(n + 1, d), "generic form")
         rng = trial_rng(args.seed, 0)
         basis = monomial_basis(n + 1, d)
         form = HomogPoly(n + 1, d, dict(zip(basis, random_coefficients(rng, len(basis)))))

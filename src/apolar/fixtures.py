@@ -17,7 +17,7 @@ from .apolarity import (catalecticant, decompose_check, hilbert_function,
 from .linalg import QMatrix, mat_det, mat_kernel, mat_rank, solve_linear
 from .modular import DEFAULT_MODULUS
 from .poly import (HomogPoly, apolar_apply, monomial_basis, parse_poly,
-                   power_linear, veronese_tangent_basis)
+                   power_linear)
 from .seeding import derive_seed, random_coefficients, trial_rng
 from .tensor import (DenseTensor, gss_minor_test, matmul_tensor,
                      multilinear_rank, strassen_det_symbolic, strassen_matrix)
@@ -122,9 +122,10 @@ def fx_annihilator_membership(ctx):
 
 
 def fx_tangent_space_of_power(ctx):
-    basis = veronese_tangent_basis([1, 0, 0], 2)
-    want = [HomogPoly.monomial(m) for m in ((2, 0, 0), (1, 1, 0), (1, 0, 1))]
-    _expect(basis == want, "tangent basis at [x0^2] must be x0^2, x0*x1, x0*x2")
+    # row i: the x_i-partials of x0^2, x0*x1, x0*x2, x1^2, x1*x2, x2^2 at [1:0:0]
+    rows = secant.Veronese(2, 2).tangent_rows([[1, 0, 0]])
+    want = [[2, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]
+    _expect(rows == want, "tangent rows at [x0^2] must span x0^2, x0*x1, x0*x2")
     return "tangent space at a square is x^2, xy, xz"
 
 

@@ -4,15 +4,29 @@ Scalars are `fractions.Fraction` (arbitrary-precision, always reduced,
 positive denominator).  Rank and determinant run fraction-free: each row is
 scaled to integers by the lcm of its denominators, then eliminated Bareiss
 style, so intermediate entries stay integral minors instead of exploding
-fractions.  Kernels and linear solves use plain rational Gauss-Jordan.
+fractions.  Kernels and linear solves reuse that elimination and
+back-substitute through its echelon rows, so Bareiss is the only
+elimination over Q.
 """
 
 from fractions import Fraction
 from math import gcd
 
 
+# Largest matrix (or coefficient vector) any command may build.  The
+# biggest in the benchmark workloads is 495 x 495 = 245,025 entries.
+MAX_ENTRIES = 10 ** 6
+
+
 class NonSquareError(ValueError):
     pass
+
+
+def check_entries(count, what):
+    """Raise ValueError before building `what` when it would have too many entries."""
+    if count > MAX_ENTRIES:
+        raise ValueError("%s would have %d entries, more than the limit of %d"
+                         % (what, count, MAX_ENTRIES))
 
 
 class QMatrix:
@@ -73,17 +87,19 @@ def _integer_rows(matrix):
 
 
 def _bareiss(int_rows, cols):
-    """Fraction-free elimination in place; returns (rank, sign, last_pivot).
+    """Fraction-free elimination in place; returns (pivot columns, sign).
 
-    `last_pivot` is the determinant of the int matrix when it is square of
-    full rank; callers detect the rank-deficient square case via `rank`.
+    Afterwards row r < rank leads with its pivot at column pivots[r] and
+    every later row is zero.  `sign` is the parity of the row swaps, and for
+    a square matrix of full rank the last row's leading entry is the
+    determinant of the int matrix up to that sign.
     """
     rows = len(int_rows)
     prev = 1
-    r = 0
+    pivots = []
     sign = 1
-    pivot = 1
     for c in range(cols):
+        r = len(pivots)
         piv = -1
         for i in range(r, rows):
             if int_rows[i][c] != 0:
@@ -103,17 +119,32 @@ def _bareiss(int_rows, cols):
                 row_i[j] = (pivot * row_i[j] - head * row_r[j]) // prev
             row_i[c] = 0
         prev = pivot
-        r += 1
-        if r == rows:
+        pivots.append(c)
+        if len(pivots) == rows:
             break
-    return r, sign, pivot
+    return pivots, sign
+
+
+def _back_substitute(echelon, pivots, cols, starts, rhs=None):
+    """Complete each start vector, which holds the free coordinates, to a
+    solution of the echelon rows against rhs (or 0), last pivot first."""
+    tails = [[(j, row[j]) for j in range(pc + 1, cols) if row[j]]
+             for row, pc in zip(echelon, pivots)]
+    for x in starts:
+        for r in range(len(pivots) - 1, -1, -1):
+            total = Fraction(rhs[r] if rhs else 0)
+            for j, e in tails[r]:
+                if x[j]:
+                    total -= e * x[j]
+            x[pivots[r]] = total / echelon[r][pivots[r]]
+    return starts
 
 
 def mat_rank(matrix):
     """Rank over the rationals (fraction-free elimination)."""
     int_rows, _ = _integer_rows(matrix)
-    rank, _, _ = _bareiss(int_rows, matrix.cols)
-    return rank
+    pivots, _ = _bareiss(int_rows, matrix.cols)
+    return len(pivots)
 
 
 def rank_int_rows(rows_of_ints):
@@ -121,8 +152,8 @@ def rank_int_rows(rows_of_ints):
     if not rows_of_ints:
         return 0
     work = [list(row) for row in rows_of_ints]
-    rank, _, _ = _bareiss(work, len(work[0]))
-    return rank
+    pivots, _ = _bareiss(work, len(work[0]))
+    return len(pivots)
 
 
 def mat_det(matrix):
@@ -132,61 +163,28 @@ def mat_det(matrix):
     if matrix.rows == 0:
         return Fraction(1)
     int_rows, scales = _integer_rows(matrix)
-    rank, sign, pivot = _bareiss(int_rows, matrix.cols)
-    if rank < matrix.rows:
+    pivots, sign = _bareiss(int_rows, matrix.cols)
+    if len(pivots) < matrix.rows:
         return Fraction(0)
-    det = Fraction(sign * pivot)
+    det = Fraction(sign * int_rows[-1][-1])
     for s in scales:
         det /= s
     return det
 
 
-def _rref(row_lists, cols):
-    """Gauss-Jordan over Fraction in place; returns pivot column list."""
-    rows = len(row_lists)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = -1
-        for i in range(r, rows):
-            if row_lists[i][c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        row_lists[piv], row_lists[r] = row_lists[r], row_lists[piv]
-        inv = Fraction(1) / row_lists[r][c]
-        row_lists[r] = [e * inv for e in row_lists[r]]
-        for i in range(rows):
-            if i != r and row_lists[i][c] != 0:
-                f = row_lists[i][c]
-                row_lists[i] = [a - f * b for a, b in zip(row_lists[i], row_lists[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
-
-
 def mat_kernel(matrix):
     """Basis of the right null space, as lists of Fractions.
 
-    The basis is the standard one read off the reduced row echelon form:
-    one vector per free column, with a 1 in that coordinate.
+    One vector per free (non-pivot) column, with a 1 in that coordinate and
+    0 in the other free ones.  Those coordinates fix the vector, so this is
+    the basis read off the reduced row echelon form.
     """
-    work = matrix.row_lists()
-    pivots = _rref(work, matrix.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(matrix.cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * matrix.cols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][free]
-        basis.append(vec)
-    return basis
+    int_rows, _ = _integer_rows(matrix)
+    pivots, _ = _bareiss(int_rows, matrix.cols)
+    zero, one = Fraction(0), Fraction(1)
+    starts = [[one if j == free else zero for j in range(matrix.cols)]
+              for free in range(matrix.cols) if free not in pivots]
+    return _back_substitute(int_rows, pivots, matrix.cols, starts)
 
 
 def solve_linear(matrix, rhs):
@@ -196,11 +194,11 @@ def solve_linear(matrix, rhs):
     """
     if len(rhs) != matrix.rows:
         raise ValueError("rhs length %d != %d rows" % (len(rhs), matrix.rows))
-    aug = [matrix.row(i) + [Fraction(rhs[i])] for i in range(matrix.rows)]
-    pivots = _rref(aug, matrix.cols + 1)
+    aug = QMatrix.from_rows([matrix.row(i) + [rhs[i]] for i in range(matrix.rows)])
+    int_rows, _ = _integer_rows(aug)
+    pivots, _ = _bareiss(int_rows, matrix.cols + 1)
     if pivots and pivots[-1] == matrix.cols:
         return None
-    sol = [Fraction(0)] * matrix.cols
-    for r, pc in enumerate(pivots):
-        sol[pc] = aug[r][matrix.cols]
-    return sol
+    starts = [[Fraction(0)] * matrix.cols]
+    return _back_substitute(int_rows, pivots, matrix.cols, starts,
+                            [row[-1] for row in int_rows])[0]

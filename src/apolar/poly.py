@@ -16,7 +16,7 @@ import re
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 MAX_VARS = 16
 MAX_DEGREE = 64
@@ -40,6 +40,11 @@ def monomial_basis(num_vars, degree):
         for tail in monomial_basis(num_vars - 1, degree - e):
             out.append((e,) + tail)
     return tuple(out)
+
+
+def monomial_count(num_vars, degree):
+    """len(monomial_basis(num_vars, degree)), without enumerating it."""
+    return comb(num_vars - 1 + degree, degree)
 
 
 @lru_cache(maxsize=None)
@@ -347,23 +352,6 @@ def apolar_apply(operator, target):
             key = tuple(key)
             terms[key] = terms.get(key, Fraction(0)) + op_coeff * tgt_coeff * scalar
     return HomogPoly(n, out_degree, terms)
-
-
-def veronese_tangent_basis(coefficients, degree):
-    """The polynomials L^(d-1) * x_i spanning the tangent space at [L^d]."""
-    n = len(coefficients)
-    if degree == 1:
-        return [HomogPoly.monomial(tuple(int(i == j) for j in range(n))) for i in range(n)]
-    base = power_linear(coefficients, degree - 1)
-    out = []
-    for i in range(n):
-        shifted = {}
-        for mono, coeff in base.terms.items():
-            key = list(mono)
-            key[i] += 1
-            shifted[tuple(key)] = coeff
-        out.append(HomogPoly(n, degree, shifted))
-    return out
 
 
 def canonical_point(coordinates):

@@ -17,7 +17,7 @@ from itertools import product
 from math import comb, prod
 
 from . import modular
-from .linalg import rank_int_rows
+from .linalg import check_entries, rank_int_rows
 from .poly import monomial_basis
 from .seeding import random_point, trial_rng
 
@@ -42,8 +42,40 @@ class Veronese:
     def ambient_dim(self):
         return comb(self.n + self.d, self.d) - 1
 
+    @property
+    def rows_per_point(self):
+        return self.n + 1
+
     def describe(self):
         return {"kind": "veronese", "n": self.n, "d": self.d}
+
+    def sample(self, rng):
+        """A random point of P^n in the affine chart."""
+        return random_point(rng, self.n + 1)
+
+    def tangent_rows(self, points):
+        """Gradient of every degree-d monomial at each point, one row per partial."""
+        n, d = self.n, self.d
+        mons = monomial_basis(n + 1, d)
+        rows = []
+        for pt in points:
+            powers = [[1] * (d + 1) for _ in range(n + 1)]
+            for k in range(n + 1):
+                for j in range(1, d + 1):
+                    powers[k][j] = powers[k][j - 1] * pt[k]
+            for i in range(n + 1):
+                row = []
+                for mono in mons:
+                    e = mono[i]
+                    if e == 0:
+                        row.append(0)
+                    else:
+                        val = e
+                        for k in range(n + 1):
+                            val *= powers[k][mono[k] - (1 if k == i else 0)]
+                        row.append(val)
+                rows.append(row)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -62,8 +94,37 @@ class Segre:
     def ambient_dim(self):
         return prod(n + 1 for n in self.dims) - 1
 
+    @property
+    def rows_per_point(self):
+        return sum(m + 1 for m in self.dims)
+
     def describe(self):
         return {"kind": "segre", "dims": list(self.dims)}
+
+    def sample(self, rng):
+        """Factor vectors of a random rank-one tensor, one per factor, in affine charts."""
+        return [random_point(rng, m + 1) for m in self.dims]
+
+    def tangent_rows(self, points):
+        """Tangent spanning vectors of rank-one tensors, one row per replacement."""
+        sizes = [m + 1 for m in self.dims]
+        index_list = list(product(*map(range, sizes)))  # row-major, last index fastest
+        rows = []
+        for factors in points:
+            for i in range(len(sizes)):
+                for b in range(sizes[i]):
+                    row = []
+                    for idx in index_list:
+                        if idx[i] != b:
+                            row.append(0)
+                            continue
+                        val = 1
+                        for j, k in enumerate(idx):
+                            if j != i:
+                                val *= factors[j][k]
+                        row.append(val)
+                    rows.append(row)
+        return rows
 
 
 @dataclass
@@ -86,97 +147,40 @@ def expected_dim(spec, s):
     return min(s * spec.variety_dim + s - 1, spec.ambient_dim)
 
 
-def _veronese_gradient_rows(n, d, points):
-    """Gradient of every degree-d monomial at each point, one row per partial."""
-    mons = monomial_basis(n + 1, d)
-    rows = []
-    for pt in points:
-        powers = [[1] * (d + 1) for _ in range(n + 1)]
-        for k in range(n + 1):
-            for j in range(1, d + 1):
-                powers[k][j] = powers[k][j - 1] * pt[k]
-        for i in range(n + 1):
-            row = []
-            for mono in mons:
-                e = mono[i]
-                if e == 0:
-                    row.append(0)
-                else:
-                    val = e
-                    for k in range(n + 1):
-                        val *= powers[k][mono[k] - (1 if k == i else 0)]
-                    row.append(val)
-            rows.append(row)
-    return rows
+def defect_report(spec, s, seed=0, trials=3, arithmetic=EXACT,
+                  modulus=modular.DEFAULT_MODULUS):
+    """Computed vs expected dimension of the s-th secant of a Veronese or Segre.
 
-
-def _segre_tangent_rows(dims, factor_lists):
-    """Tangent spanning vectors of rank-one tensors, one row per replacement."""
-    sizes = [m + 1 for m in dims]
-    index_list = list(product(*map(range, sizes)))  # row-major, last index fastest
-    rows = []
-    for factors in factor_lists:
-        for i in range(len(sizes)):
-            for b in range(sizes[i]):
-                row = []
-                for idx in index_list:
-                    if idx[i] != b:
-                        row.append(0)
-                        continue
-                    val = 1
-                    for j, k in enumerate(idx):
-                        if j != i:
-                            val *= factors[j][k]
-                    row.append(val)
-                rows.append(row)
-    return rows
-
-
-def _rank(rows, arithmetic, modulus):
-    if arithmetic == MODULAR:
-        return modular.rank_mod(rows, modulus)
-    return rank_int_rows(rows)
+    Each trial stacks the tangent rows at s points sampled from its own
+    derived generator; the report keeps the largest rank minus one.
+    """
+    if not isinstance(spec, (Veronese, Segre)):
+        raise TypeError("unknown variety spec %r" % (spec,))
+    if s < 1:
+        raise ValueError("s must be at least 1")
+    check_entries(s * spec.rows_per_point * (spec.ambient_dim + 1), "tangent matrix")
+    best = -1
+    for trial in range(trials):
+        rng = trial_rng(seed, trial)
+        points = [spec.sample(rng) for _ in range(s)]
+        if arithmetic == MODULAR:
+            rank = modular.rank_mod(spec.tangent_rows(points), modulus)
+        else:
+            rank = rank_int_rows(spec.tangent_rows(points))
+        best = max(best, rank - 1)
+    return _report(spec, s, best, trials, seed, arithmetic)
 
 
 def terracini_dim_veronese(n, d, s, seed=0, trials=3, arithmetic=EXACT,
                            modulus=modular.DEFAULT_MODULUS):
     """Dimension report for the s-th secant of the degree-d Veronese of P^n."""
-    spec = Veronese(n, d)
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    best = -1
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        points = [random_point(rng, n + 1) for _ in range(s)]
-        rank = _rank(_veronese_gradient_rows(n, d, points), arithmetic, modulus)
-        best = max(best, rank - 1)
-    return _report(spec, s, best, trials, seed, arithmetic)
+    return defect_report(Veronese(n, d), s, seed, trials, arithmetic, modulus)
 
 
 def terracini_dim_segre(dims, s, seed=0, trials=3, arithmetic=EXACT,
                         modulus=modular.DEFAULT_MODULUS):
     """Dimension report for the s-th secant of a Segre product."""
-    dims = tuple(dims)
-    spec = Segre(dims)
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    best = -1
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        factor_lists = [[random_point(rng, m + 1) for m in dims] for _ in range(s)]
-        rank = _rank(_segre_tangent_rows(dims, factor_lists), arithmetic, modulus)
-        best = max(best, rank - 1)
-    return _report(spec, s, best, trials, seed, arithmetic)
-
-
-def defect_report(spec, s, seed=0, trials=3, arithmetic=EXACT,
-                  modulus=modular.DEFAULT_MODULUS):
-    """Computed vs expected dimension for either variety kind."""
-    if isinstance(spec, Veronese):
-        return terracini_dim_veronese(spec.n, spec.d, s, seed, trials, arithmetic, modulus)
-    if isinstance(spec, Segre):
-        return terracini_dim_segre(spec.dims, s, seed, trials, arithmetic, modulus)
-    raise TypeError("unknown variety spec %r" % (spec,))
+    return defect_report(Segre(tuple(dims)), s, seed, trials, arithmetic, modulus)
 
 
 def _report(spec, s, computed, trials, seed, arithmetic):

@@ -15,10 +15,11 @@ most 4.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import prod
 
-from .linalg import QMatrix, mat_det, mat_rank
+from .linalg import QMatrix, check_entries, mat_det, mat_rank
 
 
 class InvalidModeSet(ValueError):
@@ -134,6 +135,7 @@ def matmul_tensor(n):
     """The bilinear map (A, B) -> AB on n x n matrices, as an n^2 cube."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    check_entries(n ** 6, "matrix multiplication tensor")
     t = DenseTensor.zero((n * n, n * n, n * n))
     for i in range(n):
         for j in range(n):
@@ -163,21 +165,29 @@ _BLOCKS = {
 }
 
 
-def strassen_matrix(tensor):
-    """The 9x9 antisymmetric block pencil of a 3x3x3 tensor's slices."""
-    if tensor.shape != (3, 3, 3):
-        raise WrongShape("3x3x3 tensor required, got %r" % (tensor.shape,))
-    rows = []
+def _pencil_structure():
+    """The 9x9 pencil, cell by cell: None for a structural zero, else
+    (sign, flat tensor position 9a + 3b + c) of the entry it carries."""
+    structure = []
     for r in range(9):
         row = []
         for c in range(9):
             cell = _BLOCKS.get((r // 3, c // 3))
             if cell is None:
-                row.append(Fraction(0))
+                row.append(None)
             else:
                 sign, a = cell
-                row.append(sign * tensor.at((a, r % 3, c % 3)))
-        rows.append(row)
+                row.append((sign, 9 * a + 3 * (r % 3) + (c % 3)))
+        structure.append(row)
+    return structure
+
+
+def strassen_matrix(tensor):
+    """The 9x9 antisymmetric block pencil of a 3x3x3 tensor's slices."""
+    if tensor.shape != (3, 3, 3):
+        raise WrongShape("3x3x3 tensor required, got %r" % (tensor.shape,))
+    rows = [[Fraction(0) if cell is None else cell[0] * tensor.entries[cell[1]]
+             for cell in row] for row in _pencil_structure()]
     return StrassenMatrix(tensor, QMatrix.from_rows(rows))
 
 
@@ -216,31 +226,14 @@ class SymbolicDet:
         return Fraction(total)
 
 
-_SYMBOLIC_CACHE = None
-
-
+@cache
 def strassen_det_symbolic():
     """Expand the generic pencil determinant once; cached afterwards.
 
     Cofactor expansion row by row; minors are memoized on the surviving
     column set, and every block of structural zeros prunes the recursion.
     """
-    global _SYMBOLIC_CACHE
-    if _SYMBOLIC_CACHE is not None:
-        return _SYMBOLIC_CACHE
-
-    structure = []
-    for r in range(9):
-        row = []
-        for c in range(9):
-            cell = _BLOCKS.get((r // 3, c // 3))
-            if cell is None:
-                row.append(None)
-            else:
-                sign, a = cell
-                row.append((sign, 9 * a + 3 * (r % 3) + (c % 3)))
-        structure.append(row)
-
+    structure = _pencil_structure()
     memo = {}
 
     def minor(cols):
@@ -271,8 +264,7 @@ def strassen_det_symbolic():
         memo[cols] = out
         return out
 
-    _SYMBOLIC_CACHE = SymbolicDet(minor(tuple(range(9))))
-    return _SYMBOLIC_CACHE
+    return SymbolicDet(minor(tuple(range(9))))
 
 
 def parse_rational(value):

@@ -1,18 +1,78 @@
-"""Reference routes for exact rank and determinant that tests compare against.
+"""Reference routes for exact linear algebra that tests compare against.
 
-Both eliminate naively over `Fraction` with rational pivots, independently
-of the fraction-free Bareiss kernel that `apolar.linalg` runs.
+All of them eliminate naively over `Fraction` with rational pivots
+(Gauss-Jordan), independently of the fraction-free Bareiss kernel that
+`apolar.linalg` runs.
 """
 
 from fractions import Fraction
 
-from apolar.linalg import NonSquareError, _rref
+from apolar.linalg import NonSquareError
+
+
+def _rref(row_lists, cols):
+    """Gauss-Jordan over Fraction in place; returns pivot column list."""
+    rows = len(row_lists)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = -1
+        for i in range(r, rows):
+            if row_lists[i][c] != 0:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        row_lists[piv], row_lists[r] = row_lists[r], row_lists[piv]
+        inv = Fraction(1) / row_lists[r][c]
+        row_lists[r] = [e * inv for e in row_lists[r]]
+        for i in range(rows):
+            if i != r and row_lists[i][c] != 0:
+                f = row_lists[i][c]
+                row_lists[i] = [a - f * b for a, b in zip(row_lists[i], row_lists[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
 
 
 def rank_fraction_gauss(matrix):
     """Rank by naive rational-pivot elimination (cross-check route)."""
     work = matrix.row_lists()
     return len(_rref(work, matrix.cols))
+
+
+def kernel_fraction_gauss(matrix):
+    """Right null space basis read off the reduced row echelon form.
+
+    One vector per free column, with a 1 in that coordinate.
+    """
+    work = matrix.row_lists()
+    pivots = _rref(work, matrix.cols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(matrix.cols):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * matrix.cols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -work[r][free]
+        basis.append(vec)
+    return basis
+
+
+def solve_fraction_gauss(matrix, rhs):
+    """Solution of M x = b with free variables 0, or None when inconsistent."""
+    aug = [matrix.row(i) + [Fraction(rhs[i])] for i in range(matrix.rows)]
+    pivots = _rref(aug, matrix.cols + 1)
+    if pivots and pivots[-1] == matrix.cols:
+        return None
+    sol = [Fraction(0)] * matrix.cols
+    for r, pc in enumerate(pivots):
+        sol[pc] = aug[r][matrix.cols]
+    return sol
 
 
 def det_fraction_gauss(matrix):

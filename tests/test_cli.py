@@ -214,15 +214,49 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    # flags before the leaf command were silently replaced by its defaults
-    ["secant-dim", "--seed", "5", "--output", "json", "veronese",
-     "--n", "2", "--d", "2", "--s", "2"],
+_EARLY_OR_UNHONOURED_FLAGS = [
+    # flags before the leaf command were silently replaced by its defaults,
+    # then argparse read their values as the subcommand word
+    (["secant-dim", "--seed", "5", "--output", "json", "veronese",
+      "--n", "2", "--d", "2", "--s", "2"],
+     "--seed goes after the subcommand word"),
     # hilbert runs exact arithmetic only; provenance must not claim modular
-    ["hilbert", "--generic", "2", "4", "--arithmetic", "modular", "--output", "json"],
-])
-def test_flags_rejected_where_not_honoured(argv, capsys):
+    (["hilbert", "--generic", "2", "4", "--arithmetic", "modular", "--output", "json"],
+     "unrecognized arguments: --arithmetic modular"),
+    (["secant-dim", "--seed", "5", "veronese", "--n", "2", "--d", "2", "--s", "2"],
+     "--seed goes after the subcommand word"),
+    (["rank", "--seed", "3", "binary", "--form", "x0*x1^2"],
+     "--seed goes after the subcommand word"),
+    (["tensor", "--output", "json", "matmul", "--n", "2"],
+     "--output goes after the subcommand word"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _EARLY_OR_UNHONOURED_FLAGS,
+                         ids=["argv%d" % i for i in range(len(_EARLY_OR_UNHONOURED_FLAGS))])
+def test_flags_rejected_where_not_honoured(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--generic", "15", "64"],
+    ["hilbert", "--form", "x0^64", "--vars", "16"],
+    ["catalecticant", "--form", "x0^64", "--vars", "16", "--t", "32"],
+    ["perp", "--form", "x0", "--vars", "16", "--t", "1000"],
+    ["decompose-check", "--form", "x0^64", "--vars", "16",
+     "--points", "1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0"],
+    ["secant-dim", "veronese", "--n", "15", "--d", "20", "--s", "1000"],
+    ["secant-dim", "segre", "--dims", "99,99,99", "--s", "1"],
+    ["tensor", "matmul", "--n", "11"],
+])
+def test_oversized_input_rejected_before_building(argv, capsys):
+    # each would build far more than linalg.MAX_ENTRIES entries
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "more than the limit" in err

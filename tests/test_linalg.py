@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apolar.linalg import (NonSquareError, QMatrix, mat_det, mat_kernel,
                            mat_rank, rank_int_rows, solve_linear)
-from oracles import det_fraction_gauss, rank_fraction_gauss
+from oracles import (det_fraction_gauss, kernel_fraction_gauss,
+                     rank_fraction_gauss, solve_fraction_gauss)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -160,3 +162,46 @@ def test_fractional_entries():
                             [Fraction(1, 4), Fraction(1, 5)]])
     assert mat_det(m2) == Fraction(1, 10) - Fraction(1, 12)
     assert mat_rank(m2) == 2
+
+
+def _rational_matrix(rows, cols):
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def low_rank_systems(draw):
+    """(M, b, consistent): rational M of low rank with zeroed rows and columns.
+
+    A consistent b is M x for a random rational x; otherwise b is drawn
+    freely and is usually outside the column space.
+    """
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    r = draw(st.integers(0, min(rows, cols, 3)))
+    left = draw(_rational_matrix(rows, r))
+    right = draw(_rational_matrix(r, cols))
+    dead_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    dead_cols = draw(st.sets(st.integers(0, cols - 1)))
+    data = [[Fraction(0) if i in dead_rows or j in dead_cols
+             else sum((left[i][k] * right[k][j] for k in range(r)), Fraction(0))
+             for j in range(cols)] for i in range(rows)]
+    matrix = QMatrix(rows, cols, [e for row in data for e in row])
+    consistent = draw(st.booleans())
+    if consistent:
+        x = draw(_rational_matrix(1, cols))[0]
+        b = [sum((row[j] * x[j] for j in range(cols)), Fraction(0)) for row in data]
+    else:
+        b = draw(_rational_matrix(1, rows))[0]
+    return matrix, b, consistent
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(low_rank_systems())
+def test_kernel_and_solve_equal_gauss_jordan(system):
+    matrix, b, consistent = system
+    assert mat_kernel(matrix) == kernel_fraction_gauss(matrix)
+    sol = solve_linear(matrix, b)
+    assert sol == solve_fraction_gauss(matrix, b)
+    if consistent:
+        assert sol is not None

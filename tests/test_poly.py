@@ -15,8 +15,7 @@ import pytest
 from apolar.linalg import QMatrix, mat_rank
 from apolar.poly import (HomogPoly, NotHomogeneous, ParseError, apolar_apply,
                          canonical_point, infer_num_vars, monomial_basis,
-                         parse_poly, power_linear, render_poly,
-                         veronese_tangent_basis)
+                         parse_poly, power_linear, render_poly)
 
 
 def diff_once(terms, var):
@@ -186,22 +185,6 @@ def test_perfect_pairing_gram_matrix():
                                   HomogPoly.monomial(b)).coeff((0,) * (n + 1))
                      for b in basis] for a in basis]
             assert mat_rank(QMatrix.from_rows(gram)) == len(basis)
-
-
-def test_veronese_tangent_basis_examples():
-    got = veronese_tangent_basis([1, 0, 0], 2)
-    assert got == [HomogPoly.monomial(m) for m in ((2, 0, 0), (1, 1, 0), (1, 0, 1))]
-    whole_s1 = veronese_tangent_basis([1, 2], 1)
-    assert whole_s1 == [HomogPoly.monomial((1, 0)), HomogPoly.monomial((0, 1))]
-
-
-def test_veronese_tangent_span_dimension():
-    rng = random.Random(5)
-    for _ in range(10):
-        coeffs = [rng.randint(1, 50) for _ in range(4)]
-        basis = veronese_tangent_basis(coeffs, 4)
-        rows = [p.coeff_vector() for p in basis]
-        assert mat_rank(QMatrix.from_rows(rows)) == 4
 
 
 def test_render_parse_round_trip():

@@ -1,10 +1,13 @@
 """Secant dimension engines, expected dimensions, and the generic rank map."""
 
+import random
+
 from math import comb
 
 import pytest
 
 from apolar import secant
+from apolar.linalg import rank_int_rows
 from apolar.secant import (Segre, Veronese, big_waring_g, defect_report,
                            expected_dim, terracini_dim_segre,
                            terracini_dim_veronese)
@@ -15,6 +18,20 @@ def test_ambient_and_variety_dims():
     assert v.ambient_dim == 14 and v.variety_dim == 2
     s = Segre((1, 1, 1, 1))
     assert s.ambient_dim == 15 and s.variety_dim == 4
+
+
+def test_veronese_tangent_rows_examples():
+    # row i: the x_i-partials of the graded-lex monomials at the point
+    got = Veronese(2, 2).tangent_rows([[1, 0, 0]])
+    assert got == [[2, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]
+    assert Veronese(1, 1).tangent_rows([[1, 2]]) == [[1, 0], [0, 1]]
+
+
+def test_veronese_tangent_rows_span_dimension():
+    rng = random.Random(5)
+    for _ in range(10):
+        coeffs = [rng.randint(1, 50) for _ in range(4)]
+        assert rank_int_rows(Veronese(3, 4).tangent_rows([coeffs])) == 4
 
 
 def test_expected_dim_examples():
