@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .linalg import QMatrix, check_entries, mat_kernel, mat_rank, solve_linear
+from .linalg import (QMatrix, check_entries, mat_det, mat_kernel, mat_rank,
+                     solve_linear)
 from .poly import (HomogPoly, apolar_apply, canonical_point, monomial_basis,
                    monomial_count, monomial_index, power_linear)
 
@@ -101,58 +102,24 @@ def hilbert_function(form):
     return ApolarProfile(form, hf, perp_dims)
 
 
-def _dehomogenized_coeffs(binary_form):
-    """Coefficients of g(t, 1) indexed by power of t."""
-    coeffs = [Fraction(0)] * (binary_form.degree + 1)
-    for (a, _), c in binary_form.terms.items():
-        coeffs[a] = c
-    return coeffs
-
-
-def _univariate_gcd_degree(p, q):
-    """Degree of gcd of two univariate coefficient lists (low to high)."""
-
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    p = trim(list(p))
-    q = trim(list(q))
-    while q:
-        # p mod q
-        while len(p) >= len(q):
-            if p[-1] == 0:
-                p.pop()
-                continue
-            f = p[-1] / q[-1]
-            off = len(p) - len(q)
-            for i in range(len(q)):
-                p[off + i] -= f * q[i]
-            p.pop()
-        p, q = q, trim(p)
-    return len(p) - 1
-
-
 def is_square_free_binary(binary_form):
-    """Square-freeness of a binary form via gcd with its derivative.
+    """Square-freeness of a binary form g via the resultant of its partials.
 
-    Dehomogenize to g(t, 1); the form is square-free iff that polynomial is
-    coprime to its derivative and the degree drop at dehomogenization is at
-    most one (the drop counts the multiplicity of the root at [1:0]).
+    By Euler's identity deg(g) * g = x0 * g_x0 + x1 * g_x1, a repeated factor
+    of g is exactly a common factor of g_x0 and g_x1 over Q, so g is
+    square-free iff the determinant of their (2d-2) x (2d-2) Sylvester matrix
+    is nonzero.  A root at [1:0] needs no special case; the zero form is not
+    square-free, and forms of degree 0 and 1 are.
     """
-    coeffs = _dehomogenized_coeffs(binary_form)
-    deg = len(coeffs) - 1
-    while deg >= 0 and coeffs[deg] == 0:
-        deg -= 1
-    if deg < 0:
+    if binary_form.is_zero():
         return False
-    if deg < binary_form.degree - 1:
-        return False
-    if deg == 0:
+    m = binary_form.degree - 1
+    if m < 1:
         return True
-    derivative = [coeffs[k] * k for k in range(1, deg + 1)]
-    return _univariate_gcd_degree(coeffs[:deg + 1], derivative) == 0
+    partials = [apolar_apply(HomogPoly.monomial(e), binary_form).coeff_vector()
+                for e in ((1, 0), (0, 1))]
+    rows = [[0] * k + p + [0] * (m - 1 - k) for p in partials for k in range(m)]
+    return mat_det(QMatrix.from_rows(rows)) != 0
 
 
 def sylvester_rank(binary_form):

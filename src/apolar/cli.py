@@ -13,24 +13,21 @@ import sys
 
 from . import fixtures as fixture_mod
 from . import secant
-from .apolarity import (AllZero, DegreeOutOfRange, DuplicatePoints,
-                        ZeroPolynomial, catalecticant, decompose_check,
-                        hilbert_function, monomial_rank, perp_piece,
-                        quadratic_rank, sylvester_rank)
-from .linalg import NonSquareError, check_entries, mat_rank
+from .apolarity import (catalecticant, decompose_check, hilbert_function,
+                        monomial_rank, perp_piece, quadratic_rank,
+                        sylvester_rank)
+from .linalg import check_entries, mat_det, mat_rank
 from .modular import DEFAULT_MODULUS, is_prime
-from .poly import (HomogPoly, NotHomogeneous, ParseError, infer_num_vars,
+from .poly import (MAX_DEGREE, MAX_VARS, HomogPoly, infer_num_vars,
                    monomial_basis, monomial_count, parse_poly, render_poly)
 from .seeding import random_coefficients, trial_rng
-from .tensor import (InvalidModeSet, WrongShape, flatten, format_rational,
-                     gss_minor_test, matmul_tensor, multilinear_rank,
-                     strassen_det_symbolic, strassen_matrix, tensor_from_json,
-                     tensor_to_json)
+from .tensor import (flatten, format_rational, gss_minor_test, matmul_tensor,
+                     multilinear_rank, strassen_det_symbolic, strassen_matrix,
+                     tensor_from_json, tensor_to_json)
 
-_INPUT_ERRORS = (ParseError, NotHomogeneous, DegreeOutOfRange, ZeroPolynomial,
-                 DuplicatePoints, AllZero, NonSquareError, InvalidModeSet,
-                 WrongShape, ValueError, KeyError, OSError,
-                 json.JSONDecodeError, ZeroDivisionError)
+# Every apolar input error and json.JSONDecodeError subclass ValueError;
+# ZeroDivisionError comes from Fraction("1/0") tensor entries.
+_INPUT_ERRORS = (ValueError, KeyError, OSError, ZeroDivisionError)
 
 
 def _leaf_flags():
@@ -246,8 +243,9 @@ def _cmd_hilbert(args):
         if args.form:
             raise ValueError("--form and --generic are mutually exclusive")
         n, d = args.generic
-        if not 1 <= n + 1 <= 16 or not 1 <= d <= 64:
-            raise ValueError("--generic needs 1 <= N <= 15 and 1 <= D <= 64")
+        if not 1 <= n + 1 <= MAX_VARS or not 1 <= d <= MAX_DEGREE:
+            raise ValueError("--generic needs 1 <= N <= %d and 1 <= D <= %d"
+                             % (MAX_VARS - 1, MAX_DEGREE))
         check_entries(monomial_count(n + 1, d), "generic form")
         rng = trial_rng(args.seed, 0)
         basis = monomial_basis(n + 1, d)
@@ -325,7 +323,7 @@ def _cmd_tensor(args):
     if args.action == "strassen":
         t = _read_tensor(args.file)
         pencil = strassen_matrix(t)
-        result = {"rank": pencil.rank(), "det": format_rational(pencil.det())}
+        result = {"rank": mat_rank(pencil), "det": format_rational(mat_det(pencil))}
         return _envelope(args, "tensor.strassen", {"shape": list(t.shape)}, result)
     if args.action == "strassen-expand":
         sd = strassen_det_symbolic()

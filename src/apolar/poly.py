@@ -73,10 +73,6 @@ class HomogPoly:
         self.terms = clean
 
     @classmethod
-    def zero(cls, num_vars, degree=0):
-        return cls(num_vars, degree, {})
-
-    @classmethod
     def monomial(cls, exponents, coeff=1):
         exponents = tuple(exponents)
         return cls(len(exponents), sum(exponents), {exponents: Fraction(coeff)})
@@ -97,53 +93,6 @@ class HomogPoly:
     def coeff_vector(self):
         """Dense coefficients in the monomial_basis order of this graded piece."""
         return [self.terms.get(m, Fraction(0)) for m in monomial_basis(self.num_vars, self.degree)]
-
-    def __add__(self, other):
-        self._compat(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return HomogPoly(self.num_vars, self.degree, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return HomogPoly(self.num_vars, self.degree,
-                         {m: -c for m, c in self.terms.items()})
-
-    def scale(self, scalar):
-        scalar = Fraction(scalar)
-        return HomogPoly(self.num_vars, self.degree,
-                         {m: c * scalar for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if self.num_vars != other.num_vars:
-            raise ValueError("variable count mismatch")
-        terms = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ma, mb))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return HomogPoly(self.num_vars, self.degree + other.degree, terms)
-
-    def evaluate(self, point):
-        if len(point) != self.num_vars:
-            raise ValueError("point has wrong length")
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            val = coeff
-            for p, e in zip(point, mono):
-                if e:
-                    val *= Fraction(p) ** e
-            total += val
-        return total
-
-    def _compat(self, other):
-        if self.num_vars != other.num_vars:
-            raise ValueError("variable count mismatch")
-        if self.degree != other.degree and self.terms and other.terms:
-            raise ValueError("degree mismatch")
 
     def __eq__(self, other):
         return (isinstance(other, HomogPoly) and self.num_vars == other.num_vars

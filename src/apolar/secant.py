@@ -130,12 +130,9 @@ class Segre:
 @dataclass
 class DimReport:
     spec: object
-    s: int
     computed_dim: int
     expected_dim: int
     defect: int
-    trials: int
-    seed: int
     arithmetic_mode: str
     certified: bool
 
@@ -168,7 +165,7 @@ def defect_report(spec, s, seed=0, trials=3, arithmetic=EXACT,
         else:
             rank = rank_int_rows(spec.tangent_rows(points))
         best = max(best, rank - 1)
-    return _report(spec, s, best, trials, seed, arithmetic)
+    return _report(spec, s, best, arithmetic)
 
 
 def terracini_dim_veronese(n, d, s, seed=0, trials=3, arithmetic=EXACT,
@@ -183,23 +180,25 @@ def terracini_dim_segre(dims, s, seed=0, trials=3, arithmetic=EXACT,
     return defect_report(Segre(tuple(dims)), s, seed, trials, arithmetic, modulus)
 
 
-def _report(spec, s, computed, trials, seed, arithmetic):
+def _report(spec, s, computed, arithmetic):
     expected = expected_dim(spec, s)
     known = known_true_dim(spec, s)
     certified = computed == expected or (known is not None and computed == known)
-    return DimReport(spec=spec, s=s, computed_dim=computed, expected_dim=expected,
-                     defect=expected - computed, trials=trials, seed=seed,
-                     arithmetic_mode=arithmetic, certified=certified)
+    return DimReport(spec=spec, computed_dim=computed, expected_dim=expected,
+                     defect=expected - computed, arithmetic_mode=arithmetic,
+                     certified=certified)
 
 
-# Defective cases with published dimensions, keyed by ((spec data), s).
-_VERONESE_DEFECTIVE = {
-    (2, 4, 5): 13,
-    (3, 4, 9): 33,
-    (4, 4, 14): 68,
-    (4, 3, 7): 33,
+# Alexander-Hirschowitz: the (n, d) with d >= 3 whose generic rank exceeds
+# the parameter count, and that rank g.  At each, sigma_{g-1} is a hypersurface.
+_BIG_WARING_EXCEPTIONS = {
+    (2, 4): 6,
+    (3, 4): 10,
+    (4, 3): 8,
+    (4, 4): 15,
 }
 
+# Defective Segre secants with published dimensions, keyed by (dims, s).
 _SEGRE_DEFECTIVE = {
     ((1, 1, 1, 1), 3): 13,
     ((2, 2, 2), 4): 25,
@@ -218,18 +217,12 @@ def known_true_dim(spec, s):
         n, d = spec.n, spec.d
         if d == 2 and s <= n:
             return comb(n + 2, 2) - comb(n + 2 - s, 2) - 1
-        return _VERONESE_DEFECTIVE.get((n, d, s))
+        if _BIG_WARING_EXCEPTIONS.get((n, d)) == s + 1:
+            return spec.ambient_dim - 1
+        return None
     if isinstance(spec, Segre):
         return _SEGRE_DEFECTIVE.get((spec.dims, s))
     return None
-
-
-_BIG_WARING_EXCEPTIONS = {
-    (2, 4): 6,
-    (3, 4): 10,
-    (4, 3): 8,
-    (4, 4): 15,
-}
 
 
 def big_waring_g(n, d):

@@ -13,13 +13,12 @@ monomials when expanded generically) vanishes on every tensor of rank at
 most 4.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import prod
 
-from .linalg import QMatrix, check_entries, mat_det, mat_rank
+from .linalg import QMatrix, check_entries, mat_rank
 
 
 class InvalidModeSet(ValueError):
@@ -75,10 +74,6 @@ class DenseTensor:
         if self.shape != other.shape:
             raise WrongShape("shape mismatch")
         return DenseTensor(self.shape, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def scale(self, scalar):
-        scalar = Fraction(scalar)
-        return DenseTensor(self.shape, [scalar * e for e in self.entries])
 
     def __eq__(self, other):
         return (isinstance(other, DenseTensor) and self.shape == other.shape
@@ -145,18 +140,6 @@ def matmul_tensor(n):
     return t
 
 
-@dataclass
-class StrassenMatrix:
-    tensor: DenseTensor
-    matrix: QMatrix
-
-    def rank(self):
-        return mat_rank(self.matrix)
-
-    def det(self):
-        return mat_det(self.matrix)
-
-
 # block pattern: (block row, block col) -> (sign, first-mode slice)
 _BLOCKS = {
     (0, 1): (1, 0), (0, 2): (-1, 1),
@@ -183,12 +166,13 @@ def _pencil_structure():
 
 
 def strassen_matrix(tensor):
-    """The 9x9 antisymmetric block pencil of a 3x3x3 tensor's slices."""
+    """The 9x9 antisymmetric block pencil of a 3x3x3 tensor's slices, as a
+    QMatrix; its rank and determinant come from mat_rank and mat_det."""
     if tensor.shape != (3, 3, 3):
         raise WrongShape("3x3x3 tensor required, got %r" % (tensor.shape,))
     rows = [[Fraction(0) if cell is None else cell[0] * tensor.entries[cell[1]]
              for cell in row] for row in _pencil_structure()]
-    return StrassenMatrix(tensor, QMatrix.from_rows(rows))
+    return QMatrix.from_rows(rows)
 
 
 class SymbolicDet:
@@ -200,8 +184,6 @@ class SymbolicDet:
 
     def __init__(self, terms):
         self.terms = terms
-        self._compact = [(coeff, tuple((pos, e) for pos, e in enumerate(mono) if e))
-                         for mono, coeff in terms.items()]
 
     @property
     def term_count(self):
@@ -210,20 +192,6 @@ class SymbolicDet:
     @property
     def total_degree(self):
         return max(sum(m) for m in self.terms)
-
-    def evaluate(self, tensor):
-        """Substitute a concrete 3x3x3 tensor for the indeterminates."""
-        if tensor.shape != (3, 3, 3):
-            raise WrongShape("3x3x3 tensor required")
-        integral = all(e.denominator == 1 for e in tensor.entries)
-        vals = [int(e) for e in tensor.entries] if integral else tensor.entries
-        total = 0 if integral else Fraction(0)
-        for coeff, support in self._compact:
-            val = coeff
-            for pos, e in support:
-                val *= vals[pos] if e == 1 else vals[pos] ** e
-            total += val
-        return Fraction(total)
 
 
 @cache

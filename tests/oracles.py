@@ -1,13 +1,19 @@
-"""Reference routes for exact linear algebra that tests compare against.
+"""Reference routes that tests compare the library against.
 
-All of them eliminate naively over `Fraction` with rational pivots
-(Gauss-Jordan), independently of the fraction-free Bareiss kernel that
-`apolar.linalg` runs.
+The linear-algebra routes eliminate naively over `Fraction` with rational
+pivots (Gauss-Jordan), independently of the fraction-free Bareiss kernel
+that `apolar.linalg` runs.  The polynomial routes multiply and evaluate
+sparse term maps {exponent tuple: coefficient} term by term.
 """
 
 from fractions import Fraction
 
 from apolar.linalg import NonSquareError
+from apolar.poly import HomogPoly
+
+
+def _row_lists(matrix):
+    return [matrix.row(i) for i in range(matrix.rows)]
 
 
 def _rref(row_lists, cols):
@@ -39,7 +45,7 @@ def _rref(row_lists, cols):
 
 def rank_fraction_gauss(matrix):
     """Rank by naive rational-pivot elimination (cross-check route)."""
-    work = matrix.row_lists()
+    work = _row_lists(matrix)
     return len(_rref(work, matrix.cols))
 
 
@@ -48,7 +54,7 @@ def kernel_fraction_gauss(matrix):
 
     One vector per free column, with a 1 in that coordinate.
     """
-    work = matrix.row_lists()
+    work = _row_lists(matrix)
     pivots = _rref(work, matrix.cols)
     pivot_set = set(pivots)
     basis = []
@@ -80,7 +86,7 @@ def det_fraction_gauss(matrix):
     if matrix.rows != matrix.cols:
         raise NonSquareError("determinant of %d x %d matrix" % (matrix.rows, matrix.cols))
     n = matrix.rows
-    work = matrix.row_lists()
+    work = _row_lists(matrix)
     det = Fraction(1)
     for c in range(n):
         piv = -1
@@ -100,3 +106,27 @@ def det_fraction_gauss(matrix):
                 f = work[i][c] * inv
                 work[i] = [a - f * b for a, b in zip(work[i], work[c])]
     return det
+
+
+def poly_product(a, b):
+    """Product of two HomogPolys in the same variables, term by term."""
+    if a.num_vars != b.num_vars:
+        raise ValueError("variable count mismatch")
+    terms = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ma, mb))
+            terms[key] = terms.get(key, Fraction(0)) + ca * cb
+    return HomogPoly(a.num_vars, a.degree + b.degree, terms)
+
+
+def evaluate_terms(terms, point):
+    """Value of the term map {exponent tuple: coefficient} at a point."""
+    total = 0
+    for mono, coeff in terms.items():
+        val = coeff
+        for p, e in zip(point, mono):
+            if e:
+                val *= p ** e
+        total += val
+    return total

@@ -3,9 +3,12 @@
 import random
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
+
+from hypothesis import given, settings, strategies as st
 
 from apolar.apolarity import (AllZero, DegreeOutOfRange, DuplicatePoints,
                               RankCertificate, ZeroPolynomial, catalecticant,
@@ -15,6 +18,7 @@ from apolar.apolarity import (AllZero, DegreeOutOfRange, DuplicatePoints,
 from apolar.linalg import mat_rank
 from apolar.poly import (HomogPoly, apolar_apply, monomial_basis, parse_poly,
                          power_linear)
+from oracles import poly_product
 
 
 def rand_form(rng, num_vars, degree, bound=9):
@@ -23,17 +27,31 @@ def rand_form(rng, num_vars, degree, bound=9):
     return f if not f.is_zero() else HomogPoly.monomial(basis[0])
 
 
+def add_terms(total, terms, scale=1):
+    """Accumulate scale * terms into the term map total."""
+    for mono, coeff in terms.items():
+        total[mono] = total.get(mono, 0) + scale * coeff
+
+
+def power_sum(degree, coeffs, points):
+    """Binary form sum of c * (p0 x0 + p1 x1)^degree over coeffs and points."""
+    total = {}
+    for c, p in zip(coeffs, points):
+        add_terms(total, power_linear(p, degree).terms, c)
+    return HomogPoly(2, degree, total)
+
+
 def substitute_binary(form, a, b, c, d):
     """Compose with x0 -> a x0 + b x1, x1 -> c x0 + d x1 (ad - bc != 0)."""
-    out = HomogPoly.zero(2, form.degree)
+    out = {}
     for (i, j), coeff in form.terms.items():
         term = HomogPoly.monomial((0, 0), coeff)
         if i:
-            term = term * power_linear([a, b], i)
+            term = poly_product(term, power_linear([a, b], i))
         if j:
-            term = term * power_linear([c, d], j)
-        out = out + term
-    return out
+            term = poly_product(term, power_linear([c, d], j))
+        add_terms(out, term.terms)
+    return HomogPoly(2, form.degree, out)
 
 
 def test_catalecticant_of_pure_power():
@@ -131,7 +149,7 @@ def test_hilbert_tables():
 
 def test_hilbert_zero_rejected():
     with pytest.raises(ZeroPolynomial):
-        hilbert_function(HomogPoly.zero(2, 3))
+        hilbert_function(HomogPoly(2, 3, {}))
 
 
 def test_hilbert_symmetry_and_profile_invariants():
@@ -167,6 +185,37 @@ def test_square_free_binary():
     assert not is_square_free_binary(parse_poly("x0^3 + x0^2*x1", 2))
     assert not is_square_free_binary(parse_poly("x0*x1^2", 2))  # doubled factor x1
     assert is_square_free_binary(parse_poly("x0^3 - x0*x1^2", 2))
+    assert not is_square_free_binary(HomogPoly(2, 4, {}))
+    assert is_square_free_binary(HomogPoly(2, 0, {(0, 0): 5}))
+    assert is_square_free_binary(parse_poly("x1", 2))
+    assert is_square_free_binary(parse_poly("2*x0 - 3*x1", 2))
+
+
+_LINEAR_FACTOR = st.one_of(st.just((1, 0)), st.just((0, 1)),
+                           st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(any))
+
+
+@st.composite
+def factored_binary_forms(draw):
+    """(c * prod(a x0 + b x1), factors) for 1 to 7 integer linear factors,
+    the last of them often a multiple of an earlier one."""
+    factors = draw(st.lists(_LINEAR_FACTOR, min_size=1, max_size=7))
+    if len(factors) > 1 and draw(st.booleans()):
+        a, b = draw(st.sampled_from(factors[:-1]))
+        k = draw(st.sampled_from([-2, -1, 1, 3]))
+        factors[-1] = (k * a, k * b)
+    form = HomogPoly(2, 0, {(0, 0): draw(st.sampled_from([1, -3, Fraction(2, 5)]))})
+    for a, b in factors:
+        form = poly_product(form, HomogPoly(2, 1, {(1, 0): a, (0, 1): b}))
+    return form, factors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(factored_binary_forms())
+def test_square_free_iff_no_proportional_factors(case):
+    form, factors = case
+    distinct = all(p[0] * q[1] != p[1] * q[0] for p, q in combinations(factors, 2))
+    assert is_square_free_binary(form) == distinct
 
 
 def test_sylvester_examples():
@@ -213,9 +262,7 @@ def test_sylvester_constructed_three_powers():
             if any(p) and all(q[0] * p[1] != q[1] * p[0] for q in pts):
                 pts.append(p)
         coeffs = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3)]
-        f = HomogPoly.zero(2, 5)
-        for c, p in zip(coeffs, pts):
-            f = f + power_linear(p, 5).scale(c)
+        f = power_sum(5, coeffs, pts)
         assert sylvester_rank(f).rank == 3
         got = decompose_check(f, pts)
         assert got == [Fraction(c) for c in coeffs]
@@ -285,9 +332,7 @@ def test_decompose_success_bounds_sylvester():
             p = [rng.randint(-9, 9), rng.randint(-9, 9)]
             if any(p) and all(q[0] * p[1] != q[1] * p[0] for q in pts):
                 pts.append(p)
-        f = HomogPoly.zero(2, d)
-        for p in pts:
-            f = f + power_linear(p, d).scale(rng.choice([1, 2, -1]))
+        f = power_sum(d, [rng.choice([1, 2, -1]) for _ in pts], pts)
         if f.is_zero():
             continue
         assert decompose_check(f, pts) is not None

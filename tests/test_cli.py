@@ -183,7 +183,7 @@ def test_text_output_mode(capsys):
     assert "certified=true" in out
 
 
-def test_input_error_exit_code(capsys):
+def test_input_error_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "rank", "binary", "--form", "x0 + x1^2")
     assert code == 2
     assert "error:" in err
@@ -200,6 +200,16 @@ def test_input_error_exit_code(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "tensor", "mlrank", "--file", "/no/such/file")
     assert code == 2
+    for stdin in ('{"shape": [2, 2], "entries": [1, "1/0", 2, 3]}',  # ZeroDivisionError
+                  '{"rank_one_sum": [{"coeff": 1}]}',                # KeyError
+                  'not json'):                                       # JSONDecodeError
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, "tensor", "mlrank")
+        assert code == 2 and "error:" in err
+    for generic in (["16", "2"], ["2", "65"]):
+        code, out, err = run_cli(capsys, "hilbert", "--generic", *generic)
+        assert code == 2
+        assert "--generic needs 1 <= N <= 15 and 1 <= D <= 64" in err
 
 
 def test_perp_beyond_socle_degree(capsys):

@@ -143,3 +143,7 @@ def test_known_true_dim_table():
     assert secant.known_true_dim(Veronese(4, 3), 7) == 33
     assert secant.known_true_dim(Segre((1, 1, 1, 1)), 3) == 13
     assert secant.known_true_dim(Veronese(3, 2), 2) == 6
+    assert secant.known_true_dim(Veronese(3, 4), 9) == 33
+    assert secant.known_true_dim(Veronese(4, 4), 14) == 68
+    assert secant.known_true_dim(Veronese(2, 4), 4) is None
+    assert secant.known_true_dim(Veronese(2, 4), 6) is None
