@@ -17,7 +17,6 @@ from .apolarity import (catalecticant, decompose_check, hilbert_function,
                         monomial_rank, perp_piece, quadratic_rank,
                         sylvester_rank)
 from .linalg import check_entries, mat_det, mat_rank
-from .modular import DEFAULT_MODULUS, is_prime
 from .poly import (MAX_DEGREE, MAX_VARS, HomogPoly, infer_num_vars,
                    monomial_basis, monomial_count, parse_poly, render_poly)
 from .seeding import random_coefficients, trial_rng
@@ -41,8 +40,6 @@ def _leaf_flags():
                           help="independent random trials for dimension estimates")
     sampling.add_argument("--arithmetic", choices=["exact", "modular"], default="exact",
                           help="exact rational arithmetic or modular lower-bound mode")
-    sampling.add_argument("--modulus", type=int, default=DEFAULT_MODULUS,
-                          help="prime modulus for --arithmetic modular")
     return common, sampling
 
 
@@ -57,7 +54,7 @@ class _BeforeSubcommand(argparse.Action):
 def _reject_before_subcommand(parser, sampling=False):
     flags = ["--seed", "--output"]
     if sampling:
-        flags += ["--trials", "--arithmetic", "--modulus"]
+        flags += ["--trials", "--arithmetic"]
     for flag in flags:
         parser.add_argument(flag, action=_BeforeSubcommand,
                             default=argparse.SUPPRESS, help=argparse.SUPPRESS)
@@ -70,7 +67,7 @@ def build_parser():
         description="Exact Waring ranks, apolar ideals, catalecticants, "
                     "tensor flattenings and secant-variety dimensions.")
     # provenance of commands without the sampling flags records these values
-    parser.set_defaults(trials=3, arithmetic="exact", modulus=DEFAULT_MODULUS)
+    parser.set_defaults(trials=3, arithmetic="exact")
     _reject_before_subcommand(parser, sampling=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -159,8 +156,6 @@ def _parse_form(args, two_vars=False):
 def _validate_config(args):
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    if args.arithmetic == "modular" and not is_prime(args.modulus):
-        raise ValueError("--modulus must be prime in modular mode")
 
 
 def _envelope(args, command, inputs, result, certified=True):
@@ -243,7 +238,7 @@ def _cmd_hilbert(args):
         if args.form:
             raise ValueError("--form and --generic are mutually exclusive")
         n, d = args.generic
-        if not 1 <= n + 1 <= MAX_VARS or not 1 <= d <= MAX_DEGREE:
+        if not 1 <= n < MAX_VARS or not 1 <= d <= MAX_DEGREE:
             raise ValueError("--generic needs 1 <= N <= %d and 1 <= D <= %d"
                              % (MAX_VARS - 1, MAX_DEGREE))
         check_entries(monomial_count(n + 1, d), "generic form")
@@ -289,13 +284,13 @@ def _cmd_secant_dim(args):
     if args.variety == "veronese":
         report = secant.terracini_dim_veronese(
             args.n, args.d, args.s, seed=args.seed, trials=args.trials,
-            arithmetic=args.arithmetic, modulus=args.modulus)
+            arithmetic=args.arithmetic)
         inputs = {"variety": "veronese", "n": args.n, "d": args.d, "s": args.s}
     else:
         dims = tuple(int(x) for x in args.dims.split(","))
         report = secant.terracini_dim_segre(
             dims, args.s, seed=args.seed, trials=args.trials,
-            arithmetic=args.arithmetic, modulus=args.modulus)
+            arithmetic=args.arithmetic)
         inputs = {"variety": "segre", "dims": list(dims), "s": args.s}
     return _envelope(args, "secant-dim", inputs, _dim_report_result(report),
                      certified=report.certified)
@@ -346,7 +341,7 @@ def _cmd_paper_fixtures(args):
         return _envelope(args, "paper-fixtures", {"list": True}, result)
     _validate_config(args)
     records = fixture_mod.run_fixtures(seed=args.seed, arithmetic=args.arithmetic,
-                                       modulus=args.modulus, trials=args.trials)
+                                       trials=args.trials)
     failed = [r for r in records if r["status"] == "fail"]
     result = {"total": len(records), "failed": len(failed), "fixtures": records}
     return _envelope(args, "paper-fixtures", {"list": False}, result,

@@ -15,7 +15,6 @@ from .apolarity import (catalecticant, decompose_check, hilbert_function,
                         monomial_rank, perp_piece, quadratic_rank,
                         sylvester_rank)
 from .linalg import QMatrix, mat_det, mat_kernel, mat_rank, solve_linear
-from .modular import DEFAULT_MODULUS
 from .poly import (HomogPoly, apolar_apply, monomial_basis, parse_poly,
                    power_linear)
 from .seeding import derive_seed, random_coefficients, trial_rng
@@ -33,12 +32,10 @@ def _expect(condition, message):
 
 
 class FixtureContext:
-    def __init__(self, seed=0, attempt=0, arithmetic=secant.EXACT,
-                 modulus=DEFAULT_MODULUS, trials=3):
+    def __init__(self, seed=0, attempt=0, arithmetic=secant.EXACT, trials=3):
         self.seed = seed
         self.attempt = attempt
         self.arithmetic = arithmetic
-        self.modulus = modulus
         self.trials = trials
 
     def seed_for(self, salt):
@@ -131,7 +128,7 @@ def fx_tangent_space_of_power(ctx):
 
 # --- catalecticants and Hilbert functions ---------------------------------
 
-_CATALECTICANT_PATTERN = [
+QUARTIC_CATALECTICANT_PATTERN = [
     [(12, 0), (3, 1), (3, 2), (2, 3), (1, 4), (2, 5)],
     [(6, 1), (4, 3), (2, 4), (6, 6), (2, 7), (2, 8)],
     [(6, 2), (2, 4), (4, 5), (2, 7), (2, 8), (6, 9)],
@@ -150,7 +147,7 @@ def fx_quartic_catalecticant_entries(ctx):
         matrix = catalecticant(form, 2).matrix
         for i in range(6):
             for j in range(6):
-                mult, which = _CATALECTICANT_PATTERN[i][j]
+                mult, which = QUARTIC_CATALECTICANT_PATTERN[i][j]
                 _expect(matrix.at(i, j) == mult * coeffs[which],
                         "catalecticant entry (%d, %d) mismatch" % (i, j))
     return "middle catalecticant of a ternary quartic, entrywise at 16 points"
@@ -242,7 +239,7 @@ def fx_expected_dim_veronese_surface(ctx):
 def _veronese_case(ctx, n, d, s, want, salt):
     report = secant.terracini_dim_veronese(
         n, d, s, seed=ctx.seed_for(salt), trials=ctx.trials,
-        arithmetic=ctx.arithmetic, modulus=ctx.modulus)
+        arithmetic=ctx.arithmetic)
     _expect(report.computed_dim == want,
             "secant dimension (n=%d, d=%d, s=%d) must be %d, got %d"
             % (n, d, s, want, report.computed_dim))
@@ -261,7 +258,7 @@ def fx_secant_dims_segre(ctx):
     for salt, (dims, s, want) in enumerate(cases):
         report = secant.terracini_dim_segre(
             dims, s, seed=ctx.seed_for(21 + salt), trials=ctx.trials,
-            arithmetic=ctx.arithmetic, modulus=ctx.modulus)
+            arithmetic=ctx.arithmetic)
         _expect(report.computed_dim == want,
                 "Segre %r s=%d must give %d, got %d" % (dims, s, want, report.computed_dim))
     return "Segre secant dimensions 7, 25, 63"
@@ -285,8 +282,7 @@ def fx_defect_reports(ctx):
     _expect(r.expected_dim == 7 and r.defect == 1,
             "quadric Veronese of P^3 at s=2: dimension 6 against expected 7")
     report = secant.terracini_dim_segre((1, 1, 1), 2, seed=ctx.seed_for(33),
-                                        trials=ctx.trials, arithmetic=ctx.arithmetic,
-                                        modulus=ctx.modulus)
+                                        trials=ctx.trials, arithmetic=ctx.arithmetic)
     _expect(report.defect == 0, "three-factor Segre of lines is not 2-defective")
     return "defects 1, 1, 0"
 
@@ -388,7 +384,7 @@ def fixture_names():
     return [name for name, _ in FIXTURES]
 
 
-def run_fixtures(seed=0, arithmetic=secant.EXACT, modulus=DEFAULT_MODULUS, trials=3):
+def run_fixtures(seed=0, arithmetic=secant.EXACT, trials=3):
     """Run every fixture; genericity-dependent failures get one retry.
 
     Returns a list of dicts {name, status, detail} with status one of
@@ -398,11 +394,11 @@ def run_fixtures(seed=0, arithmetic=secant.EXACT, modulus=DEFAULT_MODULUS, trial
     for name, func in FIXTURES:
         record = {"name": name}
         try:
-            record["detail"] = func(FixtureContext(seed, 0, arithmetic, modulus, trials))
+            record["detail"] = func(FixtureContext(seed, 0, arithmetic, trials))
             record["status"] = "pass"
         except FixtureFailure as first:
             try:
-                detail = func(FixtureContext(seed, 1, arithmetic, modulus, trials))
+                detail = func(FixtureContext(seed, 1, arithmetic, trials))
                 record["detail"] = "first draw failed (%s); retry passed: %s" % (first, detail)
                 record["status"] = "pass-on-retry"
             except FixtureFailure as second:

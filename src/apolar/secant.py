@@ -144,8 +144,7 @@ def expected_dim(spec, s):
     return min(s * spec.variety_dim + s - 1, spec.ambient_dim)
 
 
-def defect_report(spec, s, seed=0, trials=3, arithmetic=EXACT,
-                  modulus=modular.DEFAULT_MODULUS):
+def defect_report(spec, s, seed=0, trials=3, arithmetic=EXACT):
     """Computed vs expected dimension of the s-th secant of a Veronese or Segre.
 
     Each trial stacks the tangent rows at s points sampled from its own
@@ -161,23 +160,21 @@ def defect_report(spec, s, seed=0, trials=3, arithmetic=EXACT,
         rng = trial_rng(seed, trial)
         points = [spec.sample(rng) for _ in range(s)]
         if arithmetic == MODULAR:
-            rank = modular.rank_mod(spec.tangent_rows(points), modulus)
+            rank = modular.rank_mod(spec.tangent_rows(points))
         else:
             rank = rank_int_rows(spec.tangent_rows(points))
         best = max(best, rank - 1)
     return _report(spec, s, best, arithmetic)
 
 
-def terracini_dim_veronese(n, d, s, seed=0, trials=3, arithmetic=EXACT,
-                           modulus=modular.DEFAULT_MODULUS):
+def terracini_dim_veronese(n, d, s, seed=0, trials=3, arithmetic=EXACT):
     """Dimension report for the s-th secant of the degree-d Veronese of P^n."""
-    return defect_report(Veronese(n, d), s, seed, trials, arithmetic, modulus)
+    return defect_report(Veronese(n, d), s, seed, trials, arithmetic)
 
 
-def terracini_dim_segre(dims, s, seed=0, trials=3, arithmetic=EXACT,
-                        modulus=modular.DEFAULT_MODULUS):
+def terracini_dim_segre(dims, s, seed=0, trials=3, arithmetic=EXACT):
     """Dimension report for the s-th secant of a Segre product."""
-    return defect_report(Segre(tuple(dims)), s, seed, trials, arithmetic, modulus)
+    return defect_report(Segre(tuple(dims)), s, seed, trials, arithmetic)
 
 
 def _report(spec, s, computed, arithmetic):

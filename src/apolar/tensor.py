@@ -51,6 +51,7 @@ class DenseTensor:
     @classmethod
     def rank_one(cls, factors, coeff=1):
         """coeff * v1 (x) v2 (x) ... (x) vt for the given factor vectors."""
+        check_entries(prod(len(v) for v in factors), "rank-one tensor")
         shape = tuple(len(v) for v in factors)
         entries = [Fraction(coeff)]
         for v in factors:
@@ -254,14 +255,23 @@ def format_rational(value):
     return "%d/%d" % (value.numerator, value.denominator)
 
 
+def _json_list(value, field):
+    if not isinstance(value, list):
+        raise ValueError("%s must be a JSON list" % field)
+    return value
+
+
 def tensor_from_json(obj):
     """Read a tensor from the dense or rank-one-sum JSON layouts."""
     if not isinstance(obj, dict):
         raise ValueError("tensor JSON must be an object")
     if "rank_one_sum" in obj:
         total = None
-        for item in obj["rank_one_sum"]:
-            factors = [[parse_rational(x) for x in v] for v in item["factors"]]
+        for item in _json_list(obj["rank_one_sum"], "rank_one_sum"):
+            if not isinstance(item, dict):
+                raise ValueError("rank_one_sum items must be objects")
+            factors = [[parse_rational(x) for x in _json_list(v, "each factor")]
+                       for v in _json_list(item["factors"], "factors")]
             coeff = parse_rational(item.get("coeff", 1))
             term = DenseTensor.rank_one(factors, coeff)
             total = term if total is None else total + term
@@ -269,7 +279,11 @@ def tensor_from_json(obj):
             raise ValueError("rank_one_sum must be nonempty")
         return total
     if "shape" in obj and "entries" in obj:
-        return DenseTensor(obj["shape"], [parse_rational(e) for e in obj["entries"]])
+        shape = _json_list(obj["shape"], "shape")
+        if any(isinstance(d, bool) or not isinstance(d, int) for d in shape):
+            raise ValueError("shape must list integer extents")
+        entries = _json_list(obj["entries"], "entries")
+        return DenseTensor(shape, [parse_rational(e) for e in entries])
     raise ValueError("tensor JSON needs 'shape'+'entries' or 'rank_one_sum'")
 
 

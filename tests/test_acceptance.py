@@ -17,6 +17,7 @@ from math import comb
 from apolar import modular
 from apolar.apolarity import (catalecticant, decompose_check,
                               hilbert_function, monomial_rank, sylvester_rank)
+from apolar.fixtures import QUARTIC_CATALECTICANT_PATTERN
 from apolar.linalg import QMatrix, mat_det, mat_kernel, mat_rank
 from apolar.poly import HomogPoly, monomial_basis, parse_poly, power_linear
 from apolar.secant import (Veronese, big_waring_g, terracini_dim_segre,
@@ -88,14 +89,7 @@ def flattening_det_gradient(tensor, left_modes):
 
 
 def test_criterion_1_catalecticant_fixture():
-    pattern = [
-        [(12, 0), (3, 1), (3, 2), (2, 3), (1, 4), (2, 5)],
-        [(6, 1), (4, 3), (2, 4), (6, 6), (2, 7), (2, 8)],
-        [(6, 2), (2, 4), (4, 5), (2, 7), (2, 8), (6, 9)],
-        [(2, 3), (3, 6), (1, 7), (12, 10), (3, 11), (2, 12)],
-        [(2, 4), (2, 7), (2, 8), (6, 11), (4, 12), (6, 13)],
-        [(2, 5), (1, 8), (3, 9), (2, 12), (3, 13), (12, 14)],
-    ]
+    pattern = QUARTIC_CATALECTICANT_PATTERN
     rng = random.Random(101)
     basis = monomial_basis(3, 4)
     ok = True

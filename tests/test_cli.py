@@ -2,13 +2,17 @@
 
 import io
 import json
+import string
 
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from apolar import cli
+from apolar.tensor import DenseTensor, tensor_from_json
 
 
 _SCHEMA = json.loads(
@@ -189,10 +193,6 @@ def test_input_error_exit_code(capsys, monkeypatch):
     assert "error:" in err
     code, out, err = run_cli(capsys, "hilbert", "--form", "x0^^2")
     assert code == 2
-    code, out, err = run_cli(capsys, "secant-dim", "veronese", "--n", "2",
-                             "--d", "2", "--s", "2", "--arithmetic", "modular",
-                             "--modulus", "10")
-    assert code == 2
     code, out, err = run_cli(capsys, "catalecticant", "--form", "x0^2", "--t", "5")
     assert code == 2
     code, out, err = run_cli(capsys, "decompose-check", "--form", "x0^2*x1",
@@ -202,11 +202,14 @@ def test_input_error_exit_code(capsys, monkeypatch):
     assert code == 2
     for stdin in ('{"shape": [2, 2], "entries": [1, "1/0", 2, 3]}',  # ZeroDivisionError
                   '{"rank_one_sum": [{"coeff": 1}]}',                # KeyError
-                  'not json'):                                       # JSONDecodeError
+                  'not json',                                        # JSONDecodeError
+                  '{"shape": 5, "entries": [1]}',                    # wrong JSON types
+                  '{"rank_one_sum": [5]}',
+                  '{"rank_one_sum": [{"factors": 5}]}'):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code, out, err = run_cli(capsys, "tensor", "mlrank")
         assert code == 2 and "error:" in err
-    for generic in (["16", "2"], ["2", "65"]):
+    for generic in (["16", "2"], ["2", "65"], ["0", "3"]):
         code, out, err = run_cli(capsys, "hilbert", "--generic", *generic)
         assert code == 2
         assert "--generic needs 1 <= N <= 15 and 1 <= D <= 64" in err
@@ -239,6 +242,10 @@ _EARLY_OR_UNHONOURED_FLAGS = [
      "--seed goes after the subcommand word"),
     (["tensor", "--output", "json", "matmul", "--n", "2"],
      "--output goes after the subcommand word"),
+    # modular mode works mod 2^31 - 1 only; there is no modulus to choose
+    (["secant-dim", "veronese", "--n", "2", "--d", "2", "--s", "2",
+      "--arithmetic", "modular", "--modulus", "10"],
+     "unrecognized arguments: --modulus 10"),
 ]
 
 
@@ -270,3 +277,45 @@ def test_oversized_input_rejected_before_building(argv, capsys):
     assert code == 2
     assert out == ""
     assert "more than the limit" in err
+
+
+def test_oversized_rank_one_sum_rejected_before_building(capsys, tmp_path):
+    # a 1 KB file whose three factors span 101^3 = 1,030,301 entries
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"rank_one_sum": [{"factors": [[1] * 101] * 3}]}))
+    code, out, err = run_cli(capsys, "tensor", "strassen", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert "more than the limit" in err
+
+
+# both tensor JSON layouts, with an arbitrary small JSON value possible at every level
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-2, 3)
+    | st.text(string.digits + "/-x", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["shape", "factors", "x"]), inner, max_size=2),
+    max_leaves=8)
+_ENTRY = st.integers(-2, 3) | st.sampled_from(["1/2", "-3", "1/0", "x"]) | _ANY_JSON
+_ENTRIES = (st.lists(st.integers(-2, 3) | st.just("1/2"), max_size=9)
+            | st.lists(_ENTRY, max_size=9) | _ANY_JSON)
+_ITEM = st.fixed_dictionaries(
+    {"factors": st.lists(st.lists(st.integers(-2, 3), min_size=1, max_size=3), max_size=3)
+     | st.lists(_ENTRIES, max_size=3) | _ENTRY},
+    optional={"coeff": _ENTRY}) | _ANY_JSON
+_TENSOR_JSON = (
+    st.fixed_dictionaries({"shape": st.lists(st.integers(0, 3), max_size=3) | _ANY_JSON,
+                           "entries": _ENTRIES})
+    | st.fixed_dictionaries({"rank_one_sum": st.lists(_ITEM, max_size=3) | _ANY_JSON})
+    | _ANY_JSON)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_TENSOR_JSON)
+def test_tensor_json_is_a_tensor_or_an_input_error(obj):
+    # anything else would escape cli.main as a traceback instead of exit 2
+    try:
+        tensor = tensor_from_json(obj)
+    except cli._INPUT_ERRORS:
+        return
+    assert isinstance(tensor, DenseTensor)

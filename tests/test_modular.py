@@ -42,29 +42,21 @@ def test_rank_mod_never_exceeds_exact():
 
 
 def test_rank_mod_detects_char_p_degeneration():
-    p = 7
-    rows = [[7, 0], [0, 1]]
-    assert modular.rank_mod(rows, p) == 1
-    assert mat_rank(QMatrix.from_rows(rows)) == 2
+    p = modular.MODULUS
+    # both determinants equal p: singular mod p, invertible over Q
+    for rows in ([[1, 1], [1, p + 1]], [[p, 0], [0, 1]]):
+        assert modular.rank_mod(rows) == 1
+        assert mat_rank(QMatrix.from_rows(rows)) == 2
 
 
-def test_fraction_entries_reduce():
-    p = 7
-    # 1/2 = 4 mod 7; the matrix [[1/2, 4], [1, 8]] is singular mod 7 and over Q
-    rows = [[Fraction(1, 2), 4], [1, 8]]
-    assert modular.rank_mod(rows, p) == 1
+def test_fraction_entries_rejected():
+    # the matrix is singular over Q; truncating 1/2 to 0 would give rank 2
+    with pytest.raises(TypeError):
+        modular.rank_mod([[Fraction(1, 2), 4], [1, 8]])
 
 
-def test_modulus_validation():
-    with pytest.raises(ValueError):
-        modular.rank_mod([[1]], 10)
-    with pytest.raises(ValueError):
-        modular.rank_mod([[1]], (1 << 31) + 11)  # beyond the int64-safe range
-
-
-def test_is_prime():
-    assert modular.is_prime(2)
-    assert modular.is_prime((1 << 31) - 1)
-    assert not modular.is_prime(1)
-    assert not modular.is_prime((1 << 31) - 3)
-    assert modular.is_prime(999999937)
+def test_modulus_is_an_int64_safe_prime():
+    p = modular.MODULUS
+    assert p < 2 ** 31  # a product of two residues fits in a signed 64-bit word
+    assert 46340 ** 2 < p < 46341 ** 2
+    assert all(p % k for k in range(2, 46341))
