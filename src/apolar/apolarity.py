@@ -160,22 +160,10 @@ def monomial_rank(exponents):
 
 
 def quadratic_rank(form):
-    """Waring rank of a quadratic form: the rank of its symmetric matrix."""
+    """Waring rank of a quadratic form: the rank of Cat_1, twice its symmetric matrix."""
     if form.degree != 2:
         raise DegreeOutOfRange("quadratic form required")
-    n = form.num_vars
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                mono = tuple(2 * int(k == i) for k in range(n))
-                row.append(form.coeff(mono))
-            else:
-                mono = tuple(int(k == i) + int(k == j) for k in range(n))
-                row.append(form.coeff(mono) / 2)
-        entries.append(row)
-    return mat_rank(QMatrix.from_rows(entries))
+    return mat_rank(catalecticant(form, 1).matrix)
 
 
 def decompose_check(form, points):

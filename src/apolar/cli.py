@@ -8,6 +8,7 @@ input errors.
 """
 
 import argparse
+import io
 import json
 import sys
 
@@ -145,7 +146,9 @@ def build_parser():
 
 
 def _parse_form(args, two_vars=False):
-    num_vars = getattr(args, "vars", None) or infer_num_vars(args.form)
+    num_vars = getattr(args, "vars", None)
+    if num_vars is None:
+        num_vars = infer_num_vars(args.form)
     if two_vars:
         if getattr(args, "vars", None) not in (None, 2):
             raise ValueError("binary forms live in exactly 2 variables")
@@ -404,13 +407,17 @@ def main(argv=None):
     handler = _DISPATCH[args.command]
     try:
         envelope = handler(args)
+        # an integer too long for str() raises ValueError here, before any output
+        if args.output == "json":
+            text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        else:
+            buffer = io.StringIO()
+            _print_text(envelope, buffer)
+            text = buffer.getvalue()
     except _INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    if args.output == "json":
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    else:
-        _print_text(envelope, sys.stdout)
+    sys.stdout.write(text)
     if envelope["command"] == "paper-fixtures" and not envelope["provenance"]["certified"]:
         return 1
     return 0

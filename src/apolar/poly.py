@@ -107,10 +107,8 @@ def render_poly(poly, var="x"):
     if poly.is_zero():
         return "0"
     pieces = []
-    for mono in monomial_basis(poly.num_vars, poly.degree):
-        coeff = poly.terms.get(mono)
-        if coeff is None:
-            continue
+    for mono in sorted(poly.terms, reverse=True):   # monomial_basis order
+        coeff = poly.terms[mono]
         factors = []
         for i, e in enumerate(mono):
             if e == 1:

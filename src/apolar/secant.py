@@ -1,18 +1,23 @@
 """Secant-variety dimensions of Veronese and Segre varieties.
 
-The dimension of the s-th secant variety equals, at a general point, one
-less than the rank of the matrix stacking the tangent spaces at s general
-points of the variety.  Points are sampled with integer coordinates
-uniform in [1, 2^16] in an affine chart (last coordinate 1); the resulting
-rank is a lower bound for the generic secant dimension and agrees with it
-off a proper closed locus, so the reported dimension is the maximum over
-independent trials.  The expected dimension min(s*dim X + s - 1, N) is a
-hard upper bound, so a report whose two numbers agree is certified; the
-defective cases reproduced here are certified against their published
-dimensions instead.
+Both are images of monomial maps, given by `blocks`, one (coordinates,
+degree) pair per factor: each coordinate of the map is a product of one
+monomial of that degree per block.  The affine tangent space at a point is
+the row space of the map's Jacobian there, so by Terracini's lemma the
+dimension of the s-th secant variety is one less than the rank of the
+Jacobians stacked at s general points.  Points are sampled with integer
+coordinates uniform in [1, 2^16] in an affine chart of each factor (last
+coordinate 1); the resulting rank is a lower bound for the generic secant
+dimension and agrees with it off a proper closed locus, so the reported
+dimension is the maximum over independent trials.  The expected dimension
+min(s*dim X + s - 1, N) is a hard upper bound, so a report whose two numbers
+agree is certified; the defective cases reproduced here are certified
+against their published dimensions instead.
 """
 
+import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import comb, prod
 
@@ -25,8 +30,61 @@ EXACT = "exact"
 MODULAR = "modular"
 
 
+@cache
+def _monomial_columns(blocks):
+    """Each column x^E of the map, in itertools.product order over the blocks'
+    monomial bases, as the indices v * stride + E[v] of its nonzero exponents;
+    stride is the top degree + 1."""
+    stride = max(d for _, d in blocks) + 1
+    return tuple(tuple(v * stride + e for v, e in enumerate(sum(parts, ())) if e)
+                 for parts in product(*(monomial_basis(c, d) for c, d in blocks)))
+
+
+class _MonomialMap:
+    """A variety given by `blocks`, one (coordinates, degree) pair per factor."""
+
+    @property
+    def variety_dim(self):
+        return sum(c - 1 for c, _ in self.blocks)
+
+    @property
+    def ambient_dim(self):
+        return prod(comb(c - 1 + d, d) for c, d in self.blocks) - 1
+
+    @property
+    def rows_per_point(self):
+        return sum(c for c, _ in self.blocks)
+
+    def sample(self, rng):
+        """A random point in the affine chart of every factor, coordinates concatenated."""
+        return [x for c, _ in self.blocks for x in random_point(rng, c)]
+
+    def tangent_rows(self, points):
+        """Jacobian of the map at each point, one row per coordinate.
+
+        Entry (v, j) is E_j[v] * x^(E_j - e_v), read from a table of powers
+        of the point's coordinates, so zero coordinates need no division.
+        """
+        columns = _monomial_columns(self.blocks)
+        stride = max(d for _, d in self.blocks) + 1
+        rows = []
+        for pt in points:
+            powers = [x ** f for x in pt for f in range(stride)]
+            block = [[0] * len(columns) for _ in pt]
+            for j, support in enumerate(columns):
+                for i in support:
+                    v, e = divmod(i, stride)
+                    val = e * powers[i - 1]
+                    for k in support:
+                        if k != i:
+                            val *= powers[k]
+                    block[v][j] = val
+            rows.extend(block)
+        return rows
+
+
 @dataclass(frozen=True)
-class Veronese:
+class Veronese(_MonomialMap):
     n: int
     d: int
 
@@ -35,51 +93,15 @@ class Veronese:
             raise ValueError("need n >= 1 and d >= 1")
 
     @property
-    def variety_dim(self):
-        return self.n
-
-    @property
-    def ambient_dim(self):
-        return comb(self.n + self.d, self.d) - 1
-
-    @property
-    def rows_per_point(self):
-        return self.n + 1
+    def blocks(self):
+        return ((self.n + 1, self.d),)
 
     def describe(self):
         return {"kind": "veronese", "n": self.n, "d": self.d}
 
-    def sample(self, rng):
-        """A random point of P^n in the affine chart."""
-        return random_point(rng, self.n + 1)
-
-    def tangent_rows(self, points):
-        """Gradient of every degree-d monomial at each point, one row per partial."""
-        n, d = self.n, self.d
-        mons = monomial_basis(n + 1, d)
-        rows = []
-        for pt in points:
-            powers = [[1] * (d + 1) for _ in range(n + 1)]
-            for k in range(n + 1):
-                for j in range(1, d + 1):
-                    powers[k][j] = powers[k][j - 1] * pt[k]
-            for i in range(n + 1):
-                row = []
-                for mono in mons:
-                    e = mono[i]
-                    if e == 0:
-                        row.append(0)
-                    else:
-                        val = e
-                        for k in range(n + 1):
-                            val *= powers[k][mono[k] - (1 if k == i else 0)]
-                        row.append(val)
-                rows.append(row)
-        return rows
-
 
 @dataclass(frozen=True)
-class Segre:
+class Segre(_MonomialMap):
     dims: tuple
 
     def __post_init__(self):
@@ -87,44 +109,11 @@ class Segre:
             raise ValueError("need at least one factor, every factor dimension >= 1")
 
     @property
-    def variety_dim(self):
-        return sum(self.dims)
-
-    @property
-    def ambient_dim(self):
-        return prod(n + 1 for n in self.dims) - 1
-
-    @property
-    def rows_per_point(self):
-        return sum(m + 1 for m in self.dims)
+    def blocks(self):
+        return tuple((m + 1, 1) for m in self.dims)
 
     def describe(self):
         return {"kind": "segre", "dims": list(self.dims)}
-
-    def sample(self, rng):
-        """Factor vectors of a random rank-one tensor, one per factor, in affine charts."""
-        return [random_point(rng, m + 1) for m in self.dims]
-
-    def tangent_rows(self, points):
-        """Tangent spanning vectors of rank-one tensors, one row per replacement."""
-        sizes = [m + 1 for m in self.dims]
-        index_list = list(product(*map(range, sizes)))  # row-major, last index fastest
-        rows = []
-        for factors in points:
-            for i in range(len(sizes)):
-                for b in range(sizes[i]):
-                    row = []
-                    for idx in index_list:
-                        if idx[i] != b:
-                            row.append(0)
-                            continue
-                        val = 1
-                        for j, k in enumerate(idx):
-                            if j != i:
-                                val *= factors[j][k]
-                        row.append(val)
-                    rows.append(row)
-        return rows
 
 
 @dataclass
@@ -150,7 +139,7 @@ def defect_report(spec, s, seed=0, trials=3, arithmetic=EXACT):
     Each trial stacks the tangent rows at s points sampled from its own
     derived generator; the report keeps the largest rank minus one.
     """
-    if not isinstance(spec, (Veronese, Segre)):
+    if not isinstance(spec, _MonomialMap):
         raise TypeError("unknown variety spec %r" % (spec,))
     if s < 1:
         raise ValueError("s must be at least 1")
@@ -234,4 +223,10 @@ def big_waring_g(n, d):
         return n + 1
     if (n, d) in _BIG_WARING_EXCEPTIONS:
         return _BIG_WARING_EXCEPTIONS[(n, d)]
+    # C(n+d, k) >= r^k for k = min(n, d) and r = (n+d) // k, so log2 g exceeds
+    # this bound; reject before comb a g surely too long to print (2^4L > 10^L)
+    k = min(n, d)
+    limit = sys.get_int_max_str_digits()
+    if limit and k * (((n + d) // k).bit_length() - 1) - (n + 1).bit_length() > 4 * limit:
+        raise ValueError("g(n, d) has more than %d digits" % limit)
     return -(-comb(d + n, n) // (n + 1))

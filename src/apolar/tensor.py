@@ -13,6 +13,7 @@ monomials when expanded generically) vanishes on every tensor of rank at
 most 4.
 """
 
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -236,13 +237,16 @@ def strassen_det_symbolic():
     return SymbolicDet(minor(tuple(range(9))))
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value):
-    """Accept int, or 'p/q' / 'p' strings, as an exact Fraction."""
+    """Accept int, or '-?digits' / '-?digits/digits' strings, as an exact Fraction."""
     if isinstance(value, bool):
         raise ValueError("boolean is not a tensor entry")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         return Fraction(value)
     raise ValueError("tensor entries must be integers or 'p/q' strings, got %r" % (value,))
 

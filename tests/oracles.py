@@ -3,13 +3,16 @@
 The linear-algebra routes eliminate naively over `Fraction` with rational
 pivots (Gauss-Jordan), independently of the fraction-free Bareiss kernel
 that `apolar.linalg` runs.  The polynomial routes multiply and evaluate
-sparse term maps {exponent tuple: coefficient} term by term.
+sparse term maps {exponent tuple: coefficient} term by term.  The Segre
+tangent route builds rank-one tensors, independently of the Jacobian that
+`apolar.secant` evaluates.
 """
 
 from fractions import Fraction
 
 from apolar.linalg import NonSquareError
 from apolar.poly import HomogPoly
+from apolar.tensor import DenseTensor
 
 
 def _row_lists(matrix):
@@ -130,3 +133,18 @@ def evaluate_terms(terms, point):
                 val *= p ** e
         total += val
     return total
+
+
+def rank_one_tangent_rows(factors):
+    """Spanning vectors of the tangent space to the Segre cone at v1 (x) ... (x) vt.
+
+    One row per factor slot and unit vector: that factor replaced by the
+    unit vector, the others kept.  Built from DenseTensor, apart from the
+    secant engine's own tangent rows, so that it checks them independently.
+    """
+    rows = []
+    for i, v in enumerate(factors):
+        for b in range(len(v)):
+            unit = [int(k == b) for k in range(len(v))]
+            rows.append(DenseTensor.rank_one(factors[:i] + [unit] + factors[i + 1:]).entries)
+    return rows

@@ -25,6 +25,7 @@ from apolar.secant import (Veronese, big_waring_g, terracini_dim_segre,
 from apolar.tensor import (DenseTensor, flatten, gss_minor_test,
                            matmul_tensor, multilinear_rank,
                            strassen_det_symbolic, strassen_matrix)
+from oracles import rank_one_tangent_rows
 
 
 def announce(criterion, ok, detail):
@@ -53,21 +54,6 @@ def rand_cube_sum(rng, r):
     for _ in range(r - 1):
         t = t + rand_rank_one_cube(rng)
     return t
-
-
-def rank_one_tangent_rows(factors):
-    """Spanning vectors of the tangent space to the Segre cone at v1 (x) ... (x) vt.
-
-    One row per factor slot and unit vector: that factor replaced by the
-    unit vector, the others kept.  Built from DenseTensor, apart from the
-    secant engine's own tangent rows, so that it checks them independently.
-    """
-    rows = []
-    for i, v in enumerate(factors):
-        for b in range(len(v)):
-            unit = [int(k == b) for k in range(len(v))]
-            rows.append(DenseTensor.rank_one(factors[:i] + [unit] + factors[i + 1:]).entries)
-    return rows
 
 
 def flattening_det_gradient(tensor, left_modes):

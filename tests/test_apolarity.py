@@ -15,10 +15,10 @@ from apolar.apolarity import (AllZero, DegreeOutOfRange, DuplicatePoints,
                               decompose_check, hilbert_function,
                               is_square_free_binary, monomial_rank, perp_piece,
                               quadratic_rank, sylvester_rank)
-from apolar.linalg import mat_rank
+from apolar.linalg import QMatrix, mat_rank
 from apolar.poly import (HomogPoly, apolar_apply, monomial_basis, parse_poly,
                          power_linear)
-from oracles import poly_product
+from oracles import poly_product, rank_fraction_gauss
 
 
 def rand_form(rng, num_vars, degree, bound=9):
@@ -292,6 +292,27 @@ def test_quadratic_rank():
     for n in range(1, 5):
         terms = {tuple(2 * int(k == i) for k in range(n + 1)): 1 for i in range(n + 1)}
         assert quadratic_rank(HomogPoly(n + 1, 2, terms)) == n + 1
+    # degenerate: (x0 + x1)^2, x0 (x1 + x2), x0^2 - (x1 - x2)^2, (x0/2 + x1)^2
+    assert quadratic_rank(parse_poly("x0^2 + 2*x0*x1 + x1^2", 2)) == 1
+    assert quadratic_rank(parse_poly("x0*x1 + x0*x2", 3)) == 2
+    assert quadratic_rank(parse_poly("x0^2 - x1^2 + 2*x1*x2 - x2^2", 3)) == 2
+    assert quadratic_rank(parse_poly("1/4*x0^2 + x0*x1 + x1^2", 2)) == 1
+    assert quadratic_rank(parse_poly("1/2*x0^2 - 3/4*x1^2 + 5/3*x2^2", 4)) == 3
+    # sums of r rational squares of random linear forms in 4 variables
+    rng = random.Random(31)
+    for r in range(1, 5):
+        for _ in range(5):
+            terms = {}
+            for _ in range(r):
+                scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                square = power_linear([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                       for _ in range(4)], 2)
+                add_terms(terms, square.terms, scale)
+            form = HomogPoly(4, 2, terms)
+            want = rank_fraction_gauss(QMatrix.from_rows(
+                [[form.coeff([int(k == i) + int(k == j) for k in range(4)])
+                  * (1 if i == j else Fraction(1, 2)) for j in range(4)] for i in range(4)]))
+            assert quadratic_rank(form) == want <= r
     with pytest.raises(DegreeOutOfRange):
         quadratic_rank(parse_poly("x0^3", 2))
 

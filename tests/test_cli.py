@@ -1,10 +1,12 @@
 """CLI surface: envelopes, schema validation, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import string
 
 from importlib import resources
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -209,10 +211,34 @@ def test_input_error_exit_code(capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code, out, err = run_cli(capsys, "tensor", "mlrank")
         assert code == 2 and "error:" in err
+    # an entry is -?digits or -?digits/digits; Fraction(str) would also take
+    # exponents (1e10000000 builds a ten-million-digit integer), decimals,
+    # padding and digit separators
+    for entry in ("1e5", "1e5000", "1e10000000", "1.5", " 3 ", "1_000", "+3"):
+        stdin = json.dumps({"shape": [2, 2], "entries": [1, entry, 0, 1]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, "tensor", "flatten", "--modes", "1")
+        assert code == 2 and out == "" and repr(entry) in err
+    # --vars 0 is a value to reject, not an absent flag to infer
+    code, out, err = run_cli(capsys, "perp", "--form", "x0^2", "--vars", "0", "--t", "1")
+    assert code == 2 and "number of variables" in err
     for generic in (["16", "2"], ["2", "65"], ["0", "3"]):
         code, out, err = run_cli(capsys, "hilbert", "--generic", *generic)
         assert code == 2
         assert "--generic needs 1 <= N <= 15 and 1 <= D <= 64" in err
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_result_too_long_to_print(output, capsys):
+    # g(7152, 7152) has 4300 digits, the most str() converts by default
+    code, out, err = run_cli(capsys, "ah-g", "--n", "7152", "--d", "7152", "--output", output)
+    assert code == 0 and err == ""
+    assert len(max(out.split(), key=len).strip('",')) == 4300
+    for argv in (["ah-g", "--n", "7153", "--d", "7153"],
+                 ["ah-g", "--n", "10000", "--d", "10000"],
+                 ["catalecticant", "--form", "9" * 4290 + "*x0^64", "--t", "32"]):
+        code, out, err = run_cli(capsys, *argv, "--output", output)
+        assert code == 2 and out == "" and "error:" in err
 
 
 def test_perp_beyond_socle_degree(capsys):
@@ -319,3 +345,48 @@ def test_tensor_json_is_a_tensor_or_an_input_error(obj):
     except cli._INPUT_ERRORS:
         return
     assert isinstance(tensor, DenseTensor)
+
+
+_FUZZ_VALUES = st.sampled_from(["-1", "0", "1", "2", "3", "10000", "1e5000"])
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """One cheap command line with every number drawn from the fuzz values,
+    and the stdin it reads."""
+    def v():
+        return draw(_FUZZ_VALUES)
+
+    form = draw(st.sampled_from(["x0^{}", "{}*x0^2 + x1^2", "x0^2*x1^{}", "x0*x1"]))
+    form = form.format(v())
+    vars_ = draw(st.sampled_from([[], ["--vars", v()]]))
+    argv = draw(st.sampled_from([
+        ["ah-g", "--n", v(), "--d", v()],
+        ["perp", "--form", form, "--t", v()] + vars_,
+        ["catalecticant", "--form", form, "--t", v()] + vars_,
+        ["rank", "quadratic", "--form", form] + vars_,
+        ["hilbert", "--form", form] + vars_,
+        ["tensor", "flatten", "--modes", ",".join(v() for _ in range(draw(st.integers(1, 2))))],
+    ]))
+    entry = v()
+    entries = [1, 2, 3, entry if entry == "1e5000" else int(entry)]
+    stdin = json.dumps({"shape": [2, 2], "entries": entries})
+    return argv + ["--output", draw(st.sampled_from(["text", "json"]))], stdin
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fuzz_argv())
+def test_argv_fuzz_exits_0_or_2(case):
+    argv, stdin = case
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch("sys.stdin", io.StringIO(stdin)),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:     # argparse rejects a value this way
+            code = exc.code
+    assert code in (0, 2), (argv, code)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue(), argv
+    else:
+        assert out.getvalue() and err.getvalue() == "", argv

@@ -6,11 +6,16 @@ from math import comb
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from apolar import secant
 from apolar.linalg import rank_int_rows
+from apolar.poly import HomogPoly, apolar_apply, monomial_basis
 from apolar.secant import (Segre, Veronese, big_waring_g, defect_report,
                            expected_dim, terracini_dim_segre,
                            terracini_dim_veronese)
+from apolar.seeding import random_point
+from oracles import evaluate_terms, rank_one_tangent_rows
 
 
 def test_ambient_and_variety_dims():
@@ -32,6 +37,46 @@ def test_veronese_tangent_rows_span_dimension():
     for _ in range(10):
         coeffs = [rng.randint(1, 50) for _ in range(4)]
         assert rank_int_rows(Veronese(3, 4).tangent_rows([coeffs])) == 4
+
+
+def veronese_tangent_oracle(n, d, point):
+    """Row i: the x_i-derivative of each degree-d monomial, by apolar_apply, at the point."""
+    rows = []
+    for i in range(n + 1):
+        partial = HomogPoly.monomial([int(k == i) for k in range(n + 1)])
+        rows.append([evaluate_terms(apolar_apply(partial, HomogPoly.monomial(m)).terms, point)
+                     for m in monomial_basis(n + 1, d)])
+    return rows
+
+
+# coordinates include 0 and negatives: the Jacobian must not divide by them
+_COORD = st.integers(-3, 5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_tangent_rows_match_oracles(data):
+    if data.draw(st.booleans()):
+        n, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        points = data.draw(st.lists(st.lists(_COORD, min_size=n + 1, max_size=n + 1),
+                                    min_size=1, max_size=3))
+        want = [row for pt in points for row in veronese_tangent_oracle(n, d, pt)]
+        assert Veronese(n, d).tangent_rows(points) == want
+    else:
+        dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+        factors = data.draw(st.lists(
+            st.tuples(*(st.lists(_COORD, min_size=m + 1, max_size=m + 1) for m in dims)),
+            min_size=1, max_size=3))
+        points = [[x for v in f for x in v] for f in factors]
+        want = [row for f in factors for row in rank_one_tangent_rows(list(f))]
+        assert Segre(dims).tangent_rows(points) == want
+
+
+def test_sample_concatenates_affine_charts():
+    rng = random.Random(4)
+    point = Segre((1, 2)).sample(random.Random(4))
+    assert point == random_point(rng, 2) + random_point(rng, 3)
+    assert point[1] == point[4] == 1
 
 
 def test_expected_dim_examples():
@@ -82,6 +127,11 @@ def test_big_waring_g():
         assert big_waring_g(1, d) == (d + 2) // 2
     with pytest.raises(ValueError):
         big_waring_g(0, 3)
+    # g is printed in decimal: one with more digits than str() converts is
+    # rejected before C(n + d, n), which takes 43 s to build here
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        big_waring_g(10 ** 6, 10 ** 6)
+    assert big_waring_g(10 ** 18, 3) == 166666666666666667500000000000000001
 
 
 def test_monotonicity_in_s():
