@@ -19,7 +19,7 @@ from .apolarity import (catalecticant, decompose_check, hilbert_function,
                         sylvester_rank)
 from .linalg import check_entries, mat_det, mat_rank
 from .poly import (MAX_DEGREE, MAX_VARS, HomogPoly, infer_num_vars,
-                   monomial_basis, monomial_count, parse_poly, render_poly)
+                   monomial_count, parse_poly, render_poly)
 from .seeding import random_coefficients, trial_rng
 from .tensor import (flatten, format_rational, gss_minor_test, matmul_tensor,
                      multilinear_rank, strassen_det_symbolic, strassen_matrix,
@@ -32,16 +32,14 @@ _INPUT_ERRORS = (ValueError, KeyError, OSError, ZeroDivisionError)
 
 def _leaf_flags():
     """Parent parsers for leaf commands: every command's flags, and those plus
-    the sampling flags that only `secant-dim` and `paper-fixtures` honour."""
+    `--arithmetic`, which only `secant-dim` and `paper-fixtures` honour."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     common.add_argument("--output", choices=["text", "json"], default="text")
-    sampling = argparse.ArgumentParser(add_help=False, parents=[common])
-    sampling.add_argument("--trials", type=int, default=3,
-                          help="independent random trials for dimension estimates")
-    sampling.add_argument("--arithmetic", choices=["exact", "modular"], default="exact",
-                          help="exact rational arithmetic or modular lower-bound mode")
-    return common, sampling
+    arithmetic = argparse.ArgumentParser(add_help=False, parents=[common])
+    arithmetic.add_argument("--arithmetic", choices=["exact", "modular"], default="exact",
+                            help="exact rational arithmetic or modular lower-bound mode")
+    return common, arithmetic
 
 
 class _BeforeSubcommand(argparse.Action):
@@ -52,24 +50,24 @@ class _BeforeSubcommand(argparse.Action):
         parser.error("%s goes after the subcommand word, not before it" % option_string)
 
 
-def _reject_before_subcommand(parser, sampling=False):
+def _reject_before_subcommand(parser, arithmetic=False):
     flags = ["--seed", "--output"]
-    if sampling:
-        flags += ["--trials", "--arithmetic"]
+    if arithmetic:
+        flags.append("--arithmetic")
     for flag in flags:
         parser.add_argument(flag, action=_BeforeSubcommand,
                             default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
 
 def build_parser():
-    common, sampling = _leaf_flags()
+    common, arithmetic = _leaf_flags()
     parser = argparse.ArgumentParser(
         prog="apolar",
         description="Exact Waring ranks, apolar ideals, catalecticants, "
                     "tensor flattenings and secant-variety dimensions.")
-    # provenance of commands without the sampling flags records these values
-    parser.set_defaults(trials=3, arithmetic="exact")
-    _reject_before_subcommand(parser, sampling=True)
+    # provenance of commands without --arithmetic records exact arithmetic
+    parser.set_defaults(arithmetic="exact")
+    _reject_before_subcommand(parser, arithmetic=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rank", help="Waring rank of a form")
@@ -107,13 +105,13 @@ def build_parser():
                    help="semicolon-separated points, e.g. '1,1;-1,1;0,1'")
 
     p = sub.add_parser("secant-dim", help="secant-variety dimension")
-    _reject_before_subcommand(p, sampling=True)
+    _reject_before_subcommand(p, arithmetic=True)
     var_sub = p.add_subparsers(dest="variety", required=True)
-    q = var_sub.add_parser("veronese", parents=[sampling])
+    q = var_sub.add_parser("veronese", parents=[arithmetic])
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--s", type=int, required=True)
-    q = var_sub.add_parser("segre", parents=[sampling])
+    q = var_sub.add_parser("segre", parents=[arithmetic])
     q.add_argument("--dims", required=True, help="comma-separated, e.g. 1,1,1")
     q.add_argument("--s", type=int, required=True)
 
@@ -138,27 +136,18 @@ def build_parser():
     q.add_argument("--file", default="-")
     q.add_argument("--r", type=int, required=True)
 
-    p = sub.add_parser("paper-fixtures", parents=[sampling],
+    p = sub.add_parser("paper-fixtures", parents=[arithmetic],
                        help="run the golden suite of published values")
     p.add_argument("--list", action="store_true", help="print fixture names only")
 
     return parser
 
 
-def _parse_form(args, two_vars=False):
-    num_vars = getattr(args, "vars", None)
+def _parse_form(args):
+    num_vars = args.vars
     if num_vars is None:
         num_vars = infer_num_vars(args.form)
-    if two_vars:
-        if getattr(args, "vars", None) not in (None, 2):
-            raise ValueError("binary forms live in exactly 2 variables")
-        num_vars = 2
     return parse_poly(args.form, num_vars)
-
-
-def _validate_config(args):
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
 
 
 def _envelope(args, command, inputs, result, certified=True):
@@ -168,7 +157,7 @@ def _envelope(args, command, inputs, result, certified=True):
         "result": result,
         "provenance": {
             "seed": args.seed,
-            "trials": args.trials,
+            "trials": secant.TRIALS,
             "arithmetic_mode": args.arithmetic,
             "certified": bool(certified),
         },
@@ -213,7 +202,7 @@ def _dim_report_result(report):
 
 def _cmd_rank(args):
     if args.kind == "binary":
-        form = _parse_form(args, two_vars=True)
+        form = parse_poly(args.form, 2)
         cert = sylvester_rank(form)
         result = {"rank": cert.rank, "branch": cert.branch,
                   "witness": render_poly(cert.witness, var="y"),
@@ -240,14 +229,15 @@ def _cmd_hilbert(args):
     if args.generic:
         if args.form:
             raise ValueError("--form and --generic are mutually exclusive")
+        if args.vars is not None:
+            raise ValueError("--vars and --generic are mutually exclusive")
         n, d = args.generic
         if not 1 <= n < MAX_VARS or not 1 <= d <= MAX_DEGREE:
             raise ValueError("--generic needs 1 <= N <= %d and 1 <= D <= %d"
                              % (MAX_VARS - 1, MAX_DEGREE))
         check_entries(monomial_count(n + 1, d), "generic form")
-        rng = trial_rng(args.seed, 0)
-        basis = monomial_basis(n + 1, d)
-        form = HomogPoly(n + 1, d, dict(zip(basis, random_coefficients(rng, len(basis)))))
+        coeffs = random_coefficients(trial_rng(args.seed, 0), monomial_count(n + 1, d))
+        form = HomogPoly.from_coeff_vector(n + 1, d, coeffs)
     elif args.form:
         form = _parse_form(args)
     else:
@@ -283,17 +273,14 @@ def _cmd_decompose_check(args):
 
 
 def _cmd_secant_dim(args):
-    _validate_config(args)
     if args.variety == "veronese":
         report = secant.terracini_dim_veronese(
-            args.n, args.d, args.s, seed=args.seed, trials=args.trials,
-            arithmetic=args.arithmetic)
+            args.n, args.d, args.s, seed=args.seed, arithmetic=args.arithmetic)
         inputs = {"variety": "veronese", "n": args.n, "d": args.d, "s": args.s}
     else:
         dims = tuple(int(x) for x in args.dims.split(","))
         report = secant.terracini_dim_segre(
-            dims, args.s, seed=args.seed, trials=args.trials,
-            arithmetic=args.arithmetic)
+            dims, args.s, seed=args.seed, arithmetic=args.arithmetic)
         inputs = {"variety": "segre", "dims": list(dims), "s": args.s}
     return _envelope(args, "secant-dim", inputs, _dim_report_result(report),
                      certified=report.certified)
@@ -342,9 +329,7 @@ def _cmd_paper_fixtures(args):
     if args.list:
         result = {"fixtures": fixture_mod.fixture_names()}
         return _envelope(args, "paper-fixtures", {"list": True}, result)
-    _validate_config(args)
-    records = fixture_mod.run_fixtures(seed=args.seed, arithmetic=args.arithmetic,
-                                       trials=args.trials)
+    records = fixture_mod.run_fixtures(seed=args.seed, arithmetic=args.arithmetic)
     failed = [r for r in records if r["status"] == "fail"]
     result = {"total": len(records), "failed": len(failed), "fixtures": records}
     return _envelope(args, "paper-fixtures", {"list": False}, result,
@@ -407,6 +392,10 @@ def main(argv=None):
     handler = _DISPATCH[args.command]
     try:
         envelope = handler(args)
+    except _INPUT_ERRORS as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    try:
         # an integer too long for str() raises ValueError here, before any output
         if args.output == "json":
             text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
@@ -414,8 +403,9 @@ def main(argv=None):
             buffer = io.StringIO()
             _print_text(envelope, buffer)
             text = buffer.getvalue()
-    except _INPUT_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except ValueError:
+        print("error: the result has an integer of more than %d digits, too long to print"
+              % sys.get_int_max_str_digits(), file=sys.stderr)
         return 2
     sys.stdout.write(text)
     if envelope["command"] == "paper-fixtures" and not envelope["provenance"]["certified"]:

@@ -15,8 +15,8 @@ from .apolarity import (catalecticant, decompose_check, hilbert_function,
                         monomial_rank, perp_piece, quadratic_rank,
                         sylvester_rank)
 from .linalg import QMatrix, mat_det, mat_kernel, mat_rank, solve_linear
-from .poly import (HomogPoly, apolar_apply, monomial_basis, parse_poly,
-                   power_linear)
+from .poly import (HomogPoly, apolar_apply, monomial_basis, monomial_count,
+                   parse_poly, power_linear)
 from .seeding import derive_seed, random_coefficients, trial_rng
 from .tensor import (DenseTensor, gss_minor_test, matmul_tensor,
                      multilinear_rank, strassen_det_symbolic, strassen_matrix)
@@ -32,11 +32,10 @@ def _expect(condition, message):
 
 
 class FixtureContext:
-    def __init__(self, seed=0, attempt=0, arithmetic=secant.EXACT, trials=3):
+    def __init__(self, seed=0, attempt=0, arithmetic=secant.EXACT):
         self.seed = seed
         self.attempt = attempt
         self.arithmetic = arithmetic
-        self.trials = trials
 
     def seed_for(self, salt):
         # the retry attempt flows into every derived seed
@@ -46,9 +45,8 @@ class FixtureContext:
         return trial_rng(self.seed ^ (0xF1D0 + salt), self.attempt)
 
     def generic_form(self, salt, num_vars, degree):
-        rng = self.rng(salt)
-        basis = monomial_basis(num_vars, degree)
-        return HomogPoly(num_vars, degree, dict(zip(basis, random_coefficients(rng, len(basis)))))
+        coeffs = random_coefficients(self.rng(salt), monomial_count(num_vars, degree))
+        return HomogPoly.from_coeff_vector(num_vars, degree, coeffs)
 
 
 # --- exact linear algebra -------------------------------------------------
@@ -238,8 +236,7 @@ def fx_expected_dim_veronese_surface(ctx):
 
 def _veronese_case(ctx, n, d, s, want, salt):
     report = secant.terracini_dim_veronese(
-        n, d, s, seed=ctx.seed_for(salt), trials=ctx.trials,
-        arithmetic=ctx.arithmetic)
+        n, d, s, seed=ctx.seed_for(salt), arithmetic=ctx.arithmetic)
     _expect(report.computed_dim == want,
             "secant dimension (n=%d, d=%d, s=%d) must be %d, got %d"
             % (n, d, s, want, report.computed_dim))
@@ -257,8 +254,7 @@ def fx_secant_dims_segre(ctx):
     cases = [((1, 1, 1), 2, 7), ((2, 2, 2), 4, 25), ((3, 3, 3), 7, 63)]
     for salt, (dims, s, want) in enumerate(cases):
         report = secant.terracini_dim_segre(
-            dims, s, seed=ctx.seed_for(21 + salt), trials=ctx.trials,
-            arithmetic=ctx.arithmetic)
+            dims, s, seed=ctx.seed_for(21 + salt), arithmetic=ctx.arithmetic)
         _expect(report.computed_dim == want,
                 "Segre %r s=%d must give %d, got %d" % (dims, s, want, report.computed_dim))
     return "Segre secant dimensions 7, 25, 63"
@@ -282,7 +278,7 @@ def fx_defect_reports(ctx):
     _expect(r.expected_dim == 7 and r.defect == 1,
             "quadric Veronese of P^3 at s=2: dimension 6 against expected 7")
     report = secant.terracini_dim_segre((1, 1, 1), 2, seed=ctx.seed_for(33),
-                                        trials=ctx.trials, arithmetic=ctx.arithmetic)
+                                        arithmetic=ctx.arithmetic)
     _expect(report.defect == 0, "three-factor Segre of lines is not 2-defective")
     return "defects 1, 1, 0"
 
@@ -384,7 +380,7 @@ def fixture_names():
     return [name for name, _ in FIXTURES]
 
 
-def run_fixtures(seed=0, arithmetic=secant.EXACT, trials=3):
+def run_fixtures(seed=0, arithmetic=secant.EXACT):
     """Run every fixture; genericity-dependent failures get one retry.
 
     Returns a list of dicts {name, status, detail} with status one of
@@ -394,11 +390,11 @@ def run_fixtures(seed=0, arithmetic=secant.EXACT, trials=3):
     for name, func in FIXTURES:
         record = {"name": name}
         try:
-            record["detail"] = func(FixtureContext(seed, 0, arithmetic, trials))
+            record["detail"] = func(FixtureContext(seed, 0, arithmetic))
             record["status"] = "pass"
         except FixtureFailure as first:
             try:
-                detail = func(FixtureContext(seed, 1, arithmetic, trials))
+                detail = func(FixtureContext(seed, 1, arithmetic))
                 record["detail"] = "first draw failed (%s); retry passed: %s" % (first, detail)
                 record["status"] = "pass-on-retry"
             except FixtureFailure as second:

@@ -154,7 +154,7 @@ def test_criterion_6_veronese_secant_dimensions():
              (3, 4, 9, 33), (4, 4, 14, 68), (4, 3, 7, 33)]
     got = {}
     for n, d, s, want in cases:
-        report = terracini_dim_veronese(n, d, s, seed=106, trials=3)
+        report = terracini_dim_veronese(n, d, s, seed=106)
         got[(n, d, s)] = (report.computed_dim, want)
     ok = all(c == w for c, w in got.values())
     announce(6, ok, "Veronese dims " + ", ".join(
@@ -179,10 +179,10 @@ def test_criterion_7_generic_rank_function():
         for d in range(1, 6):
             g = big_waring_g(n, d)
             ambient = Veronese(n, d).ambient_dim
-            fills = terracini_dim_veronese(n, d, g, seed=107, trials=2).computed_dim
+            fills = terracini_dim_veronese(n, d, g, seed=107).computed_dim
             ok = ok and fills == ambient
             if g > 1:
-                below = terracini_dim_veronese(n, d, g - 1, seed=107, trials=2).computed_dim
+                below = terracini_dim_veronese(n, d, g - 1, seed=107).computed_dim
                 ok = ok and below < ambient
     announce(7, ok, "five corrections + ceil formula for n <= 5, d <= 6; "
                     "fill threshold matches engine for n <= 3, d <= 5")
@@ -194,7 +194,7 @@ def test_criterion_8_segre_secant_dimensions():
              ((2, 2, 2), 4, 25), ((3, 3, 3), 7, 63)]
     got = []
     for dims, s, want in cases:
-        report = terracini_dim_segre(dims, s, seed=108, trials=3)
+        report = terracini_dim_segre(dims, s, seed=108)
         got.append((dims, s, report.computed_dim, want))
     ok = all(c == w for _, _, c, w in got)
     # (1,1,1,1), s=3 is defective: 13, not the parameter count 14

@@ -226,6 +226,11 @@ def test_input_error_exit_code(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "hilbert", "--generic", *generic)
         assert code == 2
         assert "--generic needs 1 <= N <= 15 and 1 <= D <= 64" in err
+    # a generic form's variable count is N + 1; --vars would be ignored
+    code, out, err = run_cli(capsys, "hilbert", "--generic", "2", "4", "--vars", "7")
+    assert code == 2 and out == "" and "--vars and --generic are mutually exclusive" in err
+    code, out, err = run_cli(capsys, "hilbert", "--generic", "2", "4", "--form", "x0")
+    assert code == 2 and out == "" and "--form and --generic are mutually exclusive" in err
 
 
 @pytest.mark.parametrize("output", ["text", "json"])
@@ -238,7 +243,10 @@ def test_result_too_long_to_print(output, capsys):
                  ["ah-g", "--n", "10000", "--d", "10000"],
                  ["catalecticant", "--form", "9" * 4290 + "*x0^64", "--t", "32"]):
         code, out, err = run_cli(capsys, *argv, "--output", output)
-        assert code == 2 and out == "" and "error:" in err
+        assert code == 2 and out == ""
+        assert err == ("error: the result has an integer of more than 4300 digits, "
+                       "too long to print\n")
+        assert "set_int_max_str_digits" not in err
 
 
 def test_perp_beyond_socle_degree(capsys):
@@ -272,6 +280,9 @@ _EARLY_OR_UNHONOURED_FLAGS = [
     (["secant-dim", "veronese", "--n", "2", "--d", "2", "--s", "2",
       "--arithmetic", "modular", "--modulus", "10"],
      "unrecognized arguments: --modulus 10"),
+    # a report takes up to secant.TRIALS samples; there is no count to choose
+    (["secant-dim", "veronese", "--n", "2", "--d", "2", "--s", "2", "--trials", "2"],
+     "unrecognized arguments: --trials 2"),
 ]
 
 

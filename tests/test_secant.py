@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apolar import secant
-from apolar.linalg import rank_int_rows
+from apolar.linalg import QMatrix, rank_int_rows
 from apolar.poly import HomogPoly, apolar_apply, monomial_basis
 from apolar.secant import (Segre, Veronese, big_waring_g, defect_report,
                            expected_dim, terracini_dim_segre,
                            terracini_dim_veronese)
-from apolar.seeding import random_point
-from oracles import evaluate_terms, rank_one_tangent_rows
+from apolar.seeding import random_point, trial_rng
+from oracles import evaluate_terms, rank_fraction_gauss, rank_one_tangent_rows
 
 
 def test_ambient_and_variety_dims():
@@ -90,14 +90,14 @@ def test_expected_dim_examples():
 
 
 def test_veronese_dimensions_small():
-    assert terracini_dim_veronese(2, 2, 2, seed=0, trials=3).computed_dim == 4
-    assert terracini_dim_veronese(1, 3, 2, seed=0, trials=3).computed_dim == 3
-    assert terracini_dim_veronese(2, 4, 5, seed=0, trials=3).computed_dim == 13
+    assert terracini_dim_veronese(2, 2, 2, seed=0).computed_dim == 4
+    assert terracini_dim_veronese(1, 3, 2, seed=0).computed_dim == 3
+    assert terracini_dim_veronese(2, 4, 5, seed=0).computed_dim == 13
 
 
 def test_segre_dimensions_small():
-    assert terracini_dim_segre((1, 1, 1), 2, seed=0, trials=3).computed_dim == 7
-    report = terracini_dim_segre((1, 1, 1, 1), 3, seed=0, trials=3)
+    assert terracini_dim_segre((1, 1, 1), 2, seed=0).computed_dim == 7
+    report = terracini_dim_segre((1, 1, 1, 1), 3, seed=0)
     # the four-factor product of lines is honestly defective here: three
     # distinct flattening determinants vanish, so the dimension is 13
     assert report.computed_dim == 13
@@ -106,12 +106,12 @@ def test_segre_dimensions_small():
 
 
 def test_defect_reports():
-    r = defect_report(Veronese(2, 2), 2, seed=0, trials=3)
+    r = defect_report(Veronese(2, 2), 2, seed=0)
     assert (r.computed_dim, r.expected_dim, r.defect) == (4, 5, 1)
     assert r.certified
-    r = defect_report(Veronese(3, 2), 2, seed=0, trials=3)
+    r = defect_report(Veronese(3, 2), 2, seed=0)
     assert (r.computed_dim, r.expected_dim, r.defect) == (6, 7, 1)
-    r = defect_report(Segre((1, 1, 1)), 2, seed=0, trials=3)
+    r = defect_report(Segre((1, 1, 1)), 2, seed=0)
     assert r.defect == 0 and r.certified
 
 
@@ -137,7 +137,7 @@ def test_big_waring_g():
 def test_monotonicity_in_s():
     prev = -1
     for s in range(1, 7):
-        cur = terracini_dim_veronese(2, 3, s, seed=5, trials=2).computed_dim
+        cur = terracini_dim_veronese(2, 3, s, seed=5).computed_dim
         if prev >= 0:
             assert prev <= cur <= prev + 3
         assert cur <= expected_dim(Veronese(2, 3), s)
@@ -148,31 +148,64 @@ def test_quadric_veronese_rank_stratification():
     for n in range(1, 5):
         for s in range(1, n + 2):
             want = comb(n + 2, 2) - comb(n + 2 - s, 2) - 1
-            got = terracini_dim_veronese(n, 2, s, seed=1, trials=2).computed_dim
+            got = terracini_dim_veronese(n, 2, s, seed=1).computed_dim
             assert got == want
 
 
-def test_trials_aggregation_is_monotone():
-    one = terracini_dim_veronese(3, 3, 4, seed=9, trials=1).computed_dim
-    three = terracini_dim_veronese(3, 3, 4, seed=9, trials=3).computed_dim
-    assert one <= three
+_SMALL_SPECS = st.one_of(
+    st.builds(Veronese, st.integers(1, 2), st.integers(1, 4)),
+    st.builds(Segre, st.lists(st.integers(1, 2), min_size=1, max_size=3).map(tuple)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_SMALL_SPECS, st.integers(1, 5), st.integers(0, (1 << 64) - 1))
+def test_report_keeps_the_best_of_all_trials(spec, s, seed):
+    # a trial that meets the expected dimension ends the loop; no later
+    # trial could have done better
+    ranks = []
+    for trial in range(secant.TRIALS):
+        rng = trial_rng(seed, trial)
+        rows = spec.tangent_rows([spec.sample(rng) for _ in range(s)])
+        ranks.append(rank_fraction_gauss(QMatrix.from_rows(rows)))
+    assert defect_report(spec, s, seed).computed_dim == max(ranks) - 1
+
+
+@pytest.mark.parametrize("arithmetic", [secant.EXACT, secant.MODULAR])
+def test_trials_stop_at_the_expected_dimension(arithmetic, monkeypatch):
+    calls = []
+    for name, module in (("rank_int_rows", secant), ("rank_mod", secant.modular)):
+        rank = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda rows, rank=rank: calls.append(1) or rank(rows))
+    # Segre (1,1,1), s=2 meets its bound 7 at the first sample
+    assert defect_report(Segre((1, 1, 1)), 2, arithmetic=arithmetic).defect == 0
+    assert len(calls) == 1
+    # Veronese (2,4), s=5 is defective: no sample can meet 14
+    assert defect_report(Veronese(2, 4), 5, arithmetic=arithmetic).defect == 1
+    assert len(calls) == 1 + secant.TRIALS == 4
+
+
+def test_report_keeps_the_largest_rank(monkeypatch):
+    # a special sample can rank below a later one; the largest rank counts
+    ranks = iter([12, 14, 13])
+    monkeypatch.setattr(secant, "rank_int_rows", lambda rows: next(ranks))
+    assert defect_report(Veronese(2, 4), 5).computed_dim == 13
 
 
 def test_determinism_given_seed():
-    a = terracini_dim_segre((2, 2), 3, seed=1234, trials=3)
-    b = terracini_dim_segre((2, 2), 3, seed=1234, trials=3)
+    a = terracini_dim_segre((2, 2), 3, seed=1234)
+    b = terracini_dim_segre((2, 2), 3, seed=1234)
     assert a == b
 
 
 def test_modular_mode_never_exceeds_exact():
     for (n, d, s) in [(2, 3, 4), (3, 2, 2), (2, 4, 5)]:
-        exact = terracini_dim_veronese(n, d, s, seed=3, trials=2).computed_dim
-        modular = terracini_dim_veronese(n, d, s, seed=3, trials=2,
+        exact = terracini_dim_veronese(n, d, s, seed=3).computed_dim
+        modular = terracini_dim_veronese(n, d, s, seed=3,
                                          arithmetic=secant.MODULAR).computed_dim
         assert modular <= exact
     for (dims, s) in [((1, 1, 1), 2), ((2, 2), 3)]:
-        exact = terracini_dim_segre(dims, s, seed=3, trials=2).computed_dim
-        modular = terracini_dim_segre(dims, s, seed=3, trials=2,
+        exact = terracini_dim_segre(dims, s, seed=3).computed_dim
+        modular = terracini_dim_segre(dims, s, seed=3,
                                       arithmetic=secant.MODULAR).computed_dim
         assert modular <= exact
 
@@ -182,9 +215,9 @@ def test_fill_threshold_matches_generic_rank_small():
         for d in range(2, 4):
             g = big_waring_g(n, d)
             ambient = Veronese(n, d).ambient_dim
-            assert terracini_dim_veronese(n, d, g, seed=7, trials=2).computed_dim == ambient
+            assert terracini_dim_veronese(n, d, g, seed=7).computed_dim == ambient
             if g > 1:
-                below = terracini_dim_veronese(n, d, g - 1, seed=7, trials=2).computed_dim
+                below = terracini_dim_veronese(n, d, g - 1, seed=7).computed_dim
                 assert below < ambient
 
 
