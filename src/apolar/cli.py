@@ -19,7 +19,7 @@ from .apolarity import (catalecticant, decompose_check, hilbert_function,
                         sylvester_rank)
 from .linalg import check_entries, mat_det, mat_rank
 from .poly import (MAX_DEGREE, MAX_VARS, HomogPoly, infer_num_vars,
-                   monomial_count, parse_poly, render_poly)
+                   monomial_count, parse_int, parse_poly, render_poly)
 from .seeding import random_coefficients, trial_rng
 from .tensor import (flatten, format_rational, gss_minor_test, matmul_tensor,
                      multilinear_rank, strassen_det_symbolic, strassen_matrix,
@@ -143,6 +143,10 @@ def build_parser():
     return parser
 
 
+def _int_list(text):
+    return [parse_int(x) for x in text.split(",")]
+
+
 def _parse_form(args):
     num_vars = args.vars
     if num_vars is None:
@@ -180,7 +184,7 @@ def _read_tensor(path):
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    obj = json.loads(text)
+    obj = json.loads(text, parse_int=parse_int)
     if isinstance(obj, dict) and "result" in obj and isinstance(obj["result"], dict):
         inner = obj["result"]
         if "shape" in inner or "rank_one_sum" in inner:
@@ -209,7 +213,7 @@ def _cmd_rank(args):
                   "witness_degree": cert.witness.degree}
         return _envelope(args, "rank.binary", _poly_payload(form), result)
     if args.kind == "monomial":
-        exponents = [int(x) for x in args.exponents.split(",")]
+        exponents = _int_list(args.exponents)
         result = {"rank": monomial_rank(exponents)}
         return _envelope(args, "rank.monomial", {"exponents": exponents}, result)
     form = _parse_form(args)
@@ -260,8 +264,7 @@ def _cmd_decompose_check(args):
     form = _parse_form(args)
     points = []
     for chunk in args.points.split(";"):
-        coords = [int(x) for x in chunk.split(",")]
-        points.append(coords)
+        points.append(_int_list(chunk))
     coeffs = decompose_check(form, points)
     if coeffs is None:
         result = {"feasible": False}
@@ -278,7 +281,7 @@ def _cmd_secant_dim(args):
             args.n, args.d, args.s, seed=args.seed, arithmetic=args.arithmetic)
         inputs = {"variety": "veronese", "n": args.n, "d": args.d, "s": args.s}
     else:
-        dims = tuple(int(x) for x in args.dims.split(","))
+        dims = tuple(_int_list(args.dims))
         report = secant.terracini_dim_segre(
             dims, args.s, seed=args.seed, arithmetic=args.arithmetic)
         inputs = {"variety": "segre", "dims": list(dims), "s": args.s}
@@ -294,7 +297,7 @@ def _cmd_ah_g(args):
 def _cmd_tensor(args):
     if args.action == "flatten":
         t = _read_tensor(args.file)
-        modes = [int(x) for x in args.modes.split(",")]
+        modes = _int_list(args.modes)
         matrix = flatten(t, modes)
         result = _matrix_payload(matrix)
         result["modes"] = modes

@@ -1,4 +1,4 @@
-"""Rank over GF(p) for the one prime p = 2^31 - 1, a fast lower-bound mode.
+"""Rank over GF(p) for the one prime p = 2^31 - 1.
 
 One numpy kernel reduces the integer matrix to int64 residues and runs
 Gaussian elimination mod p on whole rows at once.  p is the largest prime
@@ -6,18 +6,20 @@ below 2^31, so every product of two residues fits in a signed 64-bit word.
 Only integer entries are accepted: a rational entry raises TypeError rather
 than being truncated to a wrong residue.
 
-Ranks computed here never exceed the exact rational rank, so every figure
-derived from this mode is a certified lower bound and is flagged as
-probabilistic by callers.
+A rank mod p never exceeds the rational rank.  `linalg` keeps it as the
+exact rank when it meets a proven upper bound, and Bareiss decides
+otherwise; `--arithmetic modular` reports it as it is, a lower bound.
+numpy is imported on first use, so commands that rank no large matrix
+never load it.
 """
-
-import numpy as np
 
 MODULUS = (1 << 31) - 1  # Mersenne prime 2^31 - 1
 
 
 def reduce_matrix(rows_of_entries):
     """Reduce an integer matrix to an int64 numpy array of residues mod p."""
+    import numpy as np
+
     a = np.array(rows_of_entries, dtype=object)
     if a.size == 0:
         return np.zeros((len(a), 0), dtype=np.int64)
@@ -33,7 +35,7 @@ def _eliminate(a):
     rows, cols = a.shape
     r = 0
     for c in range(cols):
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])

@@ -13,6 +13,7 @@ not 1 as under the contraction convention.
 """
 
 import re
+import sys
 
 from fractions import Fraction
 from functools import lru_cache
@@ -129,6 +130,20 @@ def render_poly(poly, var="x"):
 _TOKEN = re.compile(r"(x\d+)|(\d+)|([-+*/^])")
 
 
+def _check_digits(count):
+    """Reject a number of more digits than int() converts, in this program's words."""
+    limit = sys.get_int_max_str_digits()
+    if limit and count > limit:
+        raise ParseError("the input has a number of more than %d digits, too long to read"
+                         % limit)
+
+
+def parse_int(text):
+    """int(text), with the digit limit checked first."""
+    _check_digits(sum(ch.isdecimal() for ch in text))
+    return int(text)
+
+
 def _tokenize(text):
     tokens = []
     pos = 0
@@ -140,6 +155,7 @@ def _tokenize(text):
         if not m:
             raise ParseError("unexpected character %r at position %d" % (text[pos], pos))
         tokens.append(m.group(m.lastindex))
+        _check_digits(len(tokens[-1].lstrip("x")))
         pos = m.end()
     return tokens
 

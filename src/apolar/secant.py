@@ -8,12 +8,13 @@ dimension of the s-th secant variety is one less than the rank of the
 Jacobians stacked at s general points.  Points are sampled with integer
 coordinates uniform in [1, 2^16] in an affine chart of each factor (last
 coordinate 1); the resulting rank is a lower bound for the generic secant
-dimension and agrees with it off a proper closed locus.  The expected
-dimension min(s*dim X + s - 1, N) is a hard upper bound at every sample, so
-a report takes up to TRIALS independent samples, stops at the first whose
-rank meets that bound, and keeps the largest rank seen.  A report whose two
-numbers agree is certified; the defective cases reproduced here are
-certified against their published dimensions instead.
+dimension and agrees with it off a proper closed locus.  The proven upper
+bound is the published dimension of a classified defective case, and the
+expected dimension min(s*dim X + s - 1, N) everywhere else; no sample's rank
+exceeds that bound + 1.  A report takes up to TRIALS independent samples,
+keeps the largest rank seen, and stops at the first whose rank meets the
+bound, which certifies it.  In exact mode the bound also lets
+`rank_int_rows` keep a GF(p) rank that meets it, without Bareiss.
 """
 
 import sys
@@ -29,7 +30,7 @@ from .seeding import random_point, trial_rng
 
 EXACT = "exact"
 MODULAR = "modular"
-# samples one report takes at most: a rank below the expected dimension may
+# samples one report takes at most: a rank below the proven upper bound may
 # come from a special sample, so another is drawn
 TRIALS = 3
 
@@ -142,11 +143,14 @@ def defect_report(spec, s, seed=0, arithmetic=EXACT):
 
     Each trial stacks the tangent rows at s points sampled from its own
     derived generator; the report keeps the largest rank minus one, and
-    stops at the first trial that reaches the expected dimension.
+    stops at the first trial that reaches the proven upper bound `upper`,
+    which certifies it.
     """
     if not isinstance(spec, _MonomialMap):
         raise TypeError("unknown variety spec %r" % (spec,))
     expected = expected_dim(spec, s)
+    known = known_true_dim(spec, s)
+    upper = expected if known is None else known
     check_entries(s * spec.rows_per_point * (spec.ambient_dim + 1), "tangent matrix")
     best = -1
     for trial in range(TRIALS):
@@ -155,11 +159,13 @@ def defect_report(spec, s, seed=0, arithmetic=EXACT):
         if arithmetic == MODULAR:
             rank = modular.rank_mod(spec.tangent_rows(points))
         else:
-            rank = rank_int_rows(spec.tangent_rows(points))
+            rank = rank_int_rows(spec.tangent_rows(points), upper + 1)
         best = max(best, rank - 1)
-        if best == expected:
+        if best == upper:
             break
-    return _report(spec, s, best, expected, arithmetic)
+    return DimReport(spec=spec, computed_dim=best, expected_dim=expected,
+                     defect=expected - best, arithmetic_mode=arithmetic,
+                     certified=best == upper)
 
 
 def terracini_dim_veronese(n, d, s, seed=0, arithmetic=EXACT):
@@ -170,14 +176,6 @@ def terracini_dim_veronese(n, d, s, seed=0, arithmetic=EXACT):
 def terracini_dim_segre(dims, s, seed=0, arithmetic=EXACT):
     """Dimension report for the s-th secant of a Segre product."""
     return defect_report(Segre(tuple(dims)), s, seed, arithmetic)
-
-
-def _report(spec, s, computed, expected, arithmetic):
-    known = known_true_dim(spec, s)
-    certified = computed == expected or (known is not None and computed == known)
-    return DimReport(spec=spec, computed_dim=computed, expected_dim=expected,
-                     defect=expected - computed, arithmetic_mode=arithmetic,
-                     certified=certified)
 
 
 # Alexander-Hirschowitz: the (n, d) with d >= 3 whose generic rank exceeds
@@ -199,8 +197,8 @@ _SEGRE_DEFECTIVE = {
 def known_true_dim(spec, s):
     """Classified true dimension for the defective cases; None elsewhere.
 
-    Reports whose computed dimension meets the naive count are certified by
-    that equality alone, so only dimensions strictly below it are tabulated:
+    defect_report takes it as its upper bound in place of the naive count,
+    which bounds every other case, so only dimensions below it are tabulated:
     the quadric Veronese stratification (symmetric matrices of bounded rank)
     and the finitely many deficient higher-degree cases reproduced here.
     """

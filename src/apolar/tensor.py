@@ -20,6 +20,7 @@ from itertools import product
 from math import prod
 
 from .linalg import QMatrix, check_entries, mat_rank
+from .poly import parse_int
 
 
 class InvalidModeSet(ValueError):
@@ -247,7 +248,8 @@ def parse_rational(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
-        return Fraction(value)
+        num, _, den = value.partition("/")
+        return Fraction(parse_int(num), parse_int(den or "1"))
     raise ValueError("tensor entries must be integers or 'p/q' strings, got %r" % (value,))
 
 

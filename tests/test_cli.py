@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import string
+import subprocess
+import sys
 
 from importlib import resources
 from unittest import mock
@@ -13,6 +16,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+import apolar
 from apolar import cli
 from apolar.tensor import DenseTensor, tensor_from_json
 
@@ -247,6 +251,48 @@ def test_result_too_long_to_print(output, capsys):
         assert err == ("error: the result has an integer of more than 4300 digits, "
                        "too long to print\n")
         assert "set_int_max_str_digits" not in err
+
+
+_NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["rank", "binary", "--form", "x" + _NINES], ""),
+    (["perp", "--form", _NINES + "*x0", "--t", "1"], ""),
+    (["rank", "monomial", "--exponents", _NINES], ""),
+    (["decompose-check", "--form", "x0", "--points", _NINES + ",1"], ""),
+    (["secant-dim", "segre", "--dims", _NINES + ",1", "--s", "2"], ""),
+    (["tensor", "flatten", "--modes", "1"], '{"shape": [1], "entries": [%s]}' % _NINES),
+    (["tensor", "flatten", "--modes", "1"], '{"shape": [1], "entries": ["1/%s"]}' % _NINES),
+], ids=["binary", "perp", "monomial", "points", "dims", "json-int", "json-string"])
+def test_number_too_long_to_read(argv, stdin, capsys, monkeypatch):
+    # int() refuses more than 4300 digits with a hint the CLI user cannot follow
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: the input has a number of more than 4300 digits, too long to read\n"
+    assert "set_int_max_str_digits" not in err
+
+
+def test_small_commands_leave_numpy_unloaded():
+    # numpy is imported on the first matrix large enough for the GF(p) rank
+    script = ("import sys, apolar.cli\n"
+              "assert 'numpy' not in sys.modules\n"
+              "assert apolar.cli.main(['ah-g', '--n', '2', '--d', '4']) == 0\n"
+              "assert 'numpy' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(apolar.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_secant_dim_of_a_462_square_tangent_matrix(capsys):
+    # Bareiss alone took minutes here; the GF(p) rank meets the bound 462
+    code, env = run_json(capsys, "secant-dim", "veronese", "--n", "5", "--d", "6", "--s", "77")
+    assert code == 0
+    assert env["result"]["computed_dim"] == 461
+    assert env["provenance"]["certified"] is True
+    assert env["provenance"]["arithmetic_mode"] == "exact"
 
 
 def test_perp_beyond_socle_degree(capsys):

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apolar.linalg import (NonSquareError, QMatrix, mat_det, mat_kernel,
-                           mat_rank, rank_int_rows, solve_linear)
+from apolar import linalg, modular
+from apolar.linalg import (GFP_MIN_ENTRIES, NonSquareError, QMatrix, mat_det,
+                           mat_kernel, mat_rank, rank_int_rows, solve_linear)
 from oracles import (det_fraction_gauss, kernel_fraction_gauss,
                      rank_fraction_gauss, solve_fraction_gauss)
 
@@ -205,3 +206,65 @@ def test_kernel_and_solve_equal_gauss_jordan(system):
     assert sol == solve_fraction_gauss(matrix, b)
     if consistent:
         assert sol is not None
+
+
+@st.composite
+def large_low_rank_matrices(draw):
+    """(rows, r): an integer product through r columns, at least GFP_MIN_ENTRIES
+    entries before its zeroed rows and columns are dropped, dense or sparse.
+
+    The factor entries come from a drawn seed, so one example stays a few
+    bytes of hypothesis data."""
+    rows, cols = draw(st.integers(20, 26)), draw(st.integers(20, 26))
+    r = draw(st.integers(0, 18))
+    bound = draw(st.sampled_from([9, 1 << 40]))
+    zero_share = draw(st.sampled_from([0.0, 0.6, 0.9]))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+
+    def entry():
+        return 0 if rng.random() < zero_share else rng.randint(-bound, bound)
+
+    left = [[entry() for _ in range(r)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(r)]
+    dead_rows = draw(st.sets(st.integers(0, rows - 1), max_size=4))
+    dead_cols = draw(st.sets(st.integers(0, cols - 1), max_size=4))
+    data = [[0 if i in dead_rows or j in dead_cols
+             else sum(left[i][k] * right[k][j] for k in range(r))
+             for j in range(cols)] for i in range(rows)]
+    return data, r
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(large_low_rank_matrices())
+def test_certified_rank_equals_gauss_jordan(case):
+    rows, r = case
+    copy = [list(row) for row in rows]
+    want = rank_fraction_gauss(QMatrix.from_rows(rows))
+    # the inner dimension r bounds the rank of the product: a proven bound
+    for bound in (None, r):
+        assert rank_int_rows(rows, bound) == want
+        assert mat_rank(QMatrix.from_rows(rows), bound) == want
+    assert rows == copy
+
+
+def test_rank_singular_mod_p_falls_back_to_bareiss():
+    p = modular.MODULUS
+    # upper triangular, ones on and above the diagonal except p at (0, 0):
+    # the determinant is p, so rows 0 and 1 agree mod p
+    rows = [[p if i == j == 0 else int(i <= j) for j in range(16)] for i in range(16)]
+    assert len(rows) * len(rows[0]) >= GFP_MIN_ENTRIES
+    assert modular.rank_mod(rows) == 15
+    assert rank_int_rows(rows) == mat_rank(QMatrix.from_rows(rows)) == 16
+
+
+def test_gfp_rank_meeting_the_bound_skips_bareiss(monkeypatch):
+    def no_bareiss(*args):
+        raise AssertionError("Bareiss ran although the GF(p) rank met the bound")
+
+    monkeypatch.setattr(linalg, "_bareiss", no_bareiss)
+    rng = random.Random(9)
+    rows = [[rng.randint(-99, 99) for _ in range(20)] for _ in range(16)]
+    assert rank_int_rows(rows) == 16
+    # rank 1 meets the bound 1, and a zero row and column leave 15 x 19
+    rows = [[(i + 1) * (j + 1) * (i != 3) * (j != 7) for j in range(20)] for i in range(16)]
+    assert mat_rank(QMatrix.from_rows(rows), 1) == 1

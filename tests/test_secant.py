@@ -172,23 +172,31 @@ def test_report_keeps_the_best_of_all_trials(spec, s, seed):
 
 @pytest.mark.parametrize("arithmetic", [secant.EXACT, secant.MODULAR])
 def test_trials_stop_at_the_expected_dimension(arithmetic, monkeypatch):
+    # the loop stops once a trial meets the proven upper bound: the expected
+    # dimension, or the tabulated one of a classified defective case
     calls = []
-    for name, module in (("rank_int_rows", secant), ("rank_mod", secant.modular)):
-        rank = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda rows, rank=rank: calls.append(1) or rank(rows))
-    # Segre (1,1,1), s=2 meets its bound 7 at the first sample
+    module, name = ((secant, "rank_int_rows") if arithmetic == secant.EXACT
+                    else (secant.modular, "rank_mod"))
+    rank = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda rows, *bound: calls.append(1) or rank(rows, *bound))
+    # Segre (1,1,1), s=2 meets its expected dimension 7 at the first sample
     assert defect_report(Segre((1, 1, 1)), 2, arithmetic=arithmetic).defect == 0
     assert len(calls) == 1
-    # Veronese (2,4), s=5 is defective: no sample can meet 14
-    assert defect_report(Veronese(2, 4), 5, arithmetic=arithmetic).defect == 1
-    assert len(calls) == 1 + secant.TRIALS == 4
+    # Veronese (2,4), s=5 is defective and meets its tabulated 13 at once
+    report = defect_report(Veronese(2, 4), 5, arithmetic=arithmetic)
+    assert (report.defect, report.certified) == (1, True)
+    assert len(calls) == 2
+    # Segre (1,1,3), s=3 is defective but untabulated: no sample can meet 15
+    report = defect_report(Segre((1, 1, 3)), 3, arithmetic=arithmetic)
+    assert (report.computed_dim, report.certified) == (14, False)
+    assert len(calls) == 2 + secant.TRIALS == 5
 
 
 def test_report_keeps_the_largest_rank(monkeypatch):
     # a special sample can rank below a later one; the largest rank counts
-    ranks = iter([12, 14, 13])
-    monkeypatch.setattr(secant, "rank_int_rows", lambda rows: next(ranks))
-    assert defect_report(Veronese(2, 4), 5).computed_dim == 13
+    ranks = iter([13, 15, 14])
+    monkeypatch.setattr(secant, "rank_int_rows", lambda rows, bound=None: next(ranks))
+    assert defect_report(Segre((1, 1, 3)), 3).computed_dim == 14
 
 
 def test_determinism_given_seed():
@@ -219,6 +227,27 @@ def test_fill_threshold_matches_generic_rank_small():
             if g > 1:
                 below = terracini_dim_veronese(n, d, g - 1, seed=7).computed_dim
                 assert below < ambient
+
+
+def _table_cases():
+    """Every (spec, s) that known_true_dim tabulates, quadrics up to n = 4."""
+    for (n, d), g in secant._BIG_WARING_EXCEPTIONS.items():
+        yield Veronese(n, d), g - 1
+    for dims, s in secant._SEGRE_DEFECTIVE:
+        yield Segre(dims), s
+    for n in range(1, 5):
+        for s in range(1, n + 1):
+            yield Veronese(n, 2), s
+
+
+@pytest.mark.parametrize("spec, s", list(_table_cases()), ids=repr)
+def test_known_true_dim_has_an_exact_witness(spec, s):
+    # defect_report stops at, and certifies, the tabulated value: a sample
+    # whose rank - 1 reaches it shows the entry is not below the dimension
+    rng = random.Random(1)
+    points = [[rng.randint(-9, 9) for _ in range(spec.rows_per_point)] for _ in range(s)]
+    rows = spec.tangent_rows(points)
+    assert rank_fraction_gauss(QMatrix.from_rows(rows)) - 1 == secant.known_true_dim(spec, s)
 
 
 def test_known_true_dim_table():
