@@ -7,14 +7,16 @@ run one fraction-free elimination, Bareiss style, so intermediate entries
 stay integral minors instead of exploding fractions; kernels and solves
 back-substitute through its echelon rows.
 
-A rank is tried over GF(p) first.  The rank mod p of an integer matrix
-never exceeds its rank over Q, which in turn never exceeds min(nonzero rows,
-nonzero columns) or a bound the caller has proved.  When the GF(p) rank
-meets that bound it is the exact rank, with a proof and no probability;
-otherwise Bareiss, the only elimination over Q, decides.
+A rank large enough to outweigh numpy's import (GFP_MIN_WORK) is tried
+over GF(p) first.  The rank mod p of an integer matrix never exceeds its
+rank over Q, which in turn never exceeds min(nonzero rows, nonzero columns)
+or a bound the caller has proved.  When the GF(p) rank meets that bound it
+is the exact rank, with a proof and no probability; otherwise Bareiss, the
+only elimination over Q, decides.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from . import modular
@@ -24,10 +26,15 @@ from . import modular
 # biggest in the benchmark workloads is 495 x 495 = 245,025 entries.
 MAX_ENTRIES = 10 ** 6
 
-# Smaller matrices skip the GF(p) try.  The break-even is about 16 x 16 with
-# 10-bit entries (Bareiss 0.40 ms, GF(p) 0.33 ms, best of 5 on a 2-core x86
-# box, Python 3.11, numpy 2.4); below it numpy's per-call cost dominates.
-GFP_MIN_ENTRIES = 256
+# Bareiss on an m x n matrix makes about m*n*min(m, n) integer products,
+# each dearer as the largest entry's bit length b grows; matrices whose
+# m*n*min(m, n)*b is below this skip the GF(p) try.  A command runs in its
+# own process, and its first GF(p) rank pays numpy's import, about 0.17 s.
+# In fresh processes that rank one random square matrix of full rank, GF(p)
+# and Bareiss end within 0.03 s of each other at 44-48 rows with 67-bit
+# entries, 48-56 rows with 34 bits and 72-88 rows with 10 bits, a work of
+# 4e6 to 7e6 (median of 7; 2-core x86, Python 3.11, numpy 2.4).
+GFP_MIN_WORK = 6 * 10 ** 6
 
 
 class NonSquareError(ValueError):
@@ -155,23 +162,24 @@ def _rank(int_rows, bound):
     The copy without all-zero rows and columns is the one eliminated.  Its
     rational rank lies between its rank mod p and top = min(rows, cols,
     bound), so a GF(p) rank equal to top is the rank.  Otherwise, and for
-    matrices below GFP_MIN_ENTRIES, Bareiss decides.
+    matrices with less Bareiss work than GFP_MIN_WORK, Bareiss decides.
     """
     cols = [j for j, column in enumerate(zip(*int_rows)) if any(column)]
     work = [[row[j] for j in cols] for row in int_rows if any(row)]
     top = min(len(work), len(cols))
     if bound is not None:
         top = min(top, bound)
-    if len(work) * len(cols) >= GFP_MIN_ENTRIES and modular.rank_mod(work) == top:
+    bits = max(map(abs, chain.from_iterable(work)), default=0).bit_length()
+    work_estimate = len(work) * len(cols) * min(len(work), len(cols)) * bits
+    if work_estimate >= GFP_MIN_WORK and modular.rank_mod(work) == top:
         return top
     pivots, _ = _bareiss(work, len(cols))
     return len(pivots)
 
 
-def mat_rank(matrix, bound=None):
-    """Rank over the rationals; `bound`, if given, must be a proven upper bound."""
-    int_rows, _ = _integer_rows(matrix)
-    return _rank(int_rows, bound)
+def mat_rank(matrix):
+    """Rank over the rationals."""
+    return _rank(_integer_rows(matrix)[0], None)
 
 
 def rank_int_rows(rows_of_ints, bound=None):

@@ -275,10 +275,13 @@ def test_number_too_long_to_read(argv, stdin, capsys, monkeypatch):
 
 
 def test_small_commands_leave_numpy_unloaded():
-    # numpy is imported on the first matrix large enough for the GF(p) rank
+    # numpy is imported on the first matrix large enough for the GF(p) rank;
+    # the 15 x 15 Terracini matrix of Veronese (2, 4) at s = 5 is not
     script = ("import sys, apolar.cli\n"
               "assert 'numpy' not in sys.modules\n"
               "assert apolar.cli.main(['ah-g', '--n', '2', '--d', '4']) == 0\n"
+              "assert apolar.cli.main(['secant-dim', 'veronese', '--n', '2', '--d', '4',"
+              " '--s', '5']) == 0\n"
               "assert 'numpy' not in sys.modules\n")
     src = os.path.dirname(os.path.dirname(apolar.__file__))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apolar import linalg, modular
-from apolar.linalg import (GFP_MIN_ENTRIES, NonSquareError, QMatrix, mat_det,
+from apolar.linalg import (GFP_MIN_WORK, NonSquareError, QMatrix, mat_det,
                            mat_kernel, mat_rank, rank_int_rows, solve_linear)
 from oracles import (det_fraction_gauss, kernel_fraction_gauss,
                      rank_fraction_gauss, solve_fraction_gauss)
@@ -209,9 +209,9 @@ def test_kernel_and_solve_equal_gauss_jordan(system):
 
 
 @st.composite
-def large_low_rank_matrices(draw):
-    """(rows, r): an integer product through r columns, at least GFP_MIN_ENTRIES
-    entries before its zeroed rows and columns are dropped, dense or sparse.
+def low_rank_products(draw):
+    """(rows, r): a 20-26 x 20-26 integer product through r columns, dense or
+    sparse, with some rows and columns zeroed.
 
     The factor entries come from a drawn seed, so one example stays a few
     bytes of hypothesis data."""
@@ -235,26 +235,34 @@ def large_low_rank_matrices(draw):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(large_low_rank_matrices())
+@given(low_rank_products())
 def test_certified_rank_equals_gauss_jordan(case):
     rows, r = case
     copy = [list(row) for row in rows]
     want = rank_fraction_gauss(QMatrix.from_rows(rows))
-    # the inner dimension r bounds the rank of the product: a proven bound
-    for bound in (None, r):
-        assert rank_int_rows(rows, bound) == want
-        assert mat_rank(QMatrix.from_rows(rows), bound) == want
+    # cutoff 0 sends every matrix through the GF(p) try; the inner dimension
+    # r bounds the rank of the product, so it is a proven bound
+    with pytest.MonkeyPatch.context() as mp:
+        for cutoff in (0, GFP_MIN_WORK):
+            mp.setattr(linalg, "GFP_MIN_WORK", cutoff)
+            for bound in (None, r):
+                assert rank_int_rows(rows, bound) == want
+            assert mat_rank(QMatrix.from_rows(rows)) == want
     assert rows == copy
 
 
-def test_rank_singular_mod_p_falls_back_to_bareiss():
+def test_rank_singular_mod_p_falls_back_to_bareiss(monkeypatch):
     p = modular.MODULUS
     # upper triangular, ones on and above the diagonal except p at (0, 0):
     # the determinant is p, so rows 0 and 1 agree mod p
     rows = [[p if i == j == 0 else int(i <= j) for j in range(16)] for i in range(16)]
-    assert len(rows) * len(rows[0]) >= GFP_MIN_ENTRIES
     assert modular.rank_mod(rows) == 15
+    tried = []
+    rank_mod = modular.rank_mod
+    monkeypatch.setattr(modular, "rank_mod", lambda rows: tried.append(1) or rank_mod(rows))
+    monkeypatch.setattr(linalg, "GFP_MIN_WORK", 0)
     assert rank_int_rows(rows) == mat_rank(QMatrix.from_rows(rows)) == 16
+    assert len(tried) == 2
 
 
 def test_gfp_rank_meeting_the_bound_skips_bareiss(monkeypatch):
@@ -262,9 +270,10 @@ def test_gfp_rank_meeting_the_bound_skips_bareiss(monkeypatch):
         raise AssertionError("Bareiss ran although the GF(p) rank met the bound")
 
     monkeypatch.setattr(linalg, "_bareiss", no_bareiss)
+    monkeypatch.setattr(linalg, "GFP_MIN_WORK", 0)
     rng = random.Random(9)
     rows = [[rng.randint(-99, 99) for _ in range(20)] for _ in range(16)]
     assert rank_int_rows(rows) == 16
     # rank 1 meets the bound 1, and a zero row and column leave 15 x 19
     rows = [[(i + 1) * (j + 1) * (i != 3) * (j != 7) for j in range(20)] for i in range(16)]
-    assert mat_rank(QMatrix.from_rows(rows), 1) == 1
+    assert rank_int_rows(rows, 1) == 1
