@@ -2,10 +2,11 @@
 
 The linear-algebra routes eliminate naively over `Fraction` with rational
 pivots (Gauss-Jordan), independently of the fraction-free Bareiss kernel
-that `apolar.linalg` runs.  The polynomial routes multiply and evaluate
-sparse term maps {exponent tuple: coefficient} term by term.  The Segre
-tangent route builds rank-one tensors, independently of the Jacobian that
-`apolar.secant` evaluates.
+that `apolar.linalg` runs, or entry by entry mod p, independently of the
+packed-row kernel in `apolar.modular`.  The polynomial routes multiply and
+evaluate sparse term maps {exponent tuple: coefficient} term by term.  The
+Segre tangent route builds rank-one tensors, independently of the Jacobian
+that `apolar.secant` evaluates.
 """
 
 from fractions import Fraction
@@ -50,6 +51,24 @@ def rank_fraction_gauss(matrix):
     """Rank by naive rational-pivot elimination (cross-check route)."""
     work = _row_lists(matrix)
     return len(_rref(work, matrix.cols))
+
+
+def rank_mod_gauss(rows, p):
+    """Rank mod p of integer row lists by scalar Gaussian elimination."""
+    work = [[e % p for e in row] for row in rows]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][c], -1, p)
+        for i in range(rank + 1, len(work)):
+            f = work[i][c] * inv % p
+            if f:
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
 
 
 def kernel_fraction_gauss(matrix):

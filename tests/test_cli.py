@@ -274,19 +274,25 @@ def test_number_too_long_to_read(argv, stdin, capsys, monkeypatch):
     assert "set_int_max_str_digits" not in err
 
 
-def test_small_commands_leave_numpy_unloaded():
-    # numpy is imported on the first matrix large enough for the GF(p) rank;
-    # the 15 x 15 Terracini matrix of Veronese (2, 4) at s = 5 is not
+def test_commands_import_only_the_standard_library():
+    # apolar has no dependencies: after a Waring rank, a Hilbert function and
+    # an exact and a modular Terracini rank, every loaded module is apolar's
+    # own or the standard library's.  -S skips site, whose .pth hooks load
+    # modules of other installed packages before apolar is imported.
     script = ("import sys, apolar.cli\n"
-              "assert 'numpy' not in sys.modules\n"
-              "assert apolar.cli.main(['ah-g', '--n', '2', '--d', '4']) == 0\n"
-              "assert apolar.cli.main(['secant-dim', 'veronese', '--n', '2', '--d', '4',"
-              " '--s', '5']) == 0\n"
-              "assert 'numpy' not in sys.modules\n")
+              "for argv in (['ah-g', '--n', '2', '--d', '4'],\n"
+              "             ['hilbert', '--generic', '2', '4'],\n"
+              "             ['secant-dim', 'veronese', '--n', '4', '--d', '4', '--s', '14'],\n"
+              "             ['secant-dim', 'veronese', '--n', '4', '--d', '4', '--s', '14',\n"
+              "              '--arithmetic', 'modular']):\n"
+              "    assert apolar.cli.main(argv) == 0, argv\n"
+              "tops = {name.partition('.')[0] for name in list(sys.modules)}\n"
+              "print(sorted(tops - set(sys.stdlib_module_names) - {'apolar', '__main__'}))\n")
     src = os.path.dirname(os.path.dirname(apolar.__file__))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_exact_secant_dim_of_a_462_square_tangent_matrix(capsys):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apolar import linalg, modular
-from apolar.linalg import (GFP_MIN_WORK, NonSquareError, QMatrix, mat_det,
-                           mat_kernel, mat_rank, rank_int_rows, solve_linear)
+from apolar.linalg import (NonSquareError, QMatrix, mat_det, mat_kernel,
+                           mat_rank, rank_int_rows, solve_linear)
 from oracles import (det_fraction_gauss, kernel_fraction_gauss,
                      rank_fraction_gauss, solve_fraction_gauss)
 
@@ -240,14 +240,11 @@ def test_certified_rank_equals_gauss_jordan(case):
     rows, r = case
     copy = [list(row) for row in rows]
     want = rank_fraction_gauss(QMatrix.from_rows(rows))
-    # cutoff 0 sends every matrix through the GF(p) try; the inner dimension
-    # r bounds the rank of the product, so it is a proven bound
-    with pytest.MonkeyPatch.context() as mp:
-        for cutoff in (0, GFP_MIN_WORK):
-            mp.setattr(linalg, "GFP_MIN_WORK", cutoff)
-            for bound in (None, r):
-                assert rank_int_rows(rows, bound) == want
-            assert mat_rank(QMatrix.from_rows(rows)) == want
+    # the inner dimension r bounds the rank of the product, so it is a
+    # proven bound
+    for bound in (None, r):
+        assert rank_int_rows(rows, bound) == want
+    assert mat_rank(QMatrix.from_rows(rows)) == want
     assert rows == copy
 
 
@@ -260,7 +257,6 @@ def test_rank_singular_mod_p_falls_back_to_bareiss(monkeypatch):
     tried = []
     rank_mod = modular.rank_mod
     monkeypatch.setattr(modular, "rank_mod", lambda rows: tried.append(1) or rank_mod(rows))
-    monkeypatch.setattr(linalg, "GFP_MIN_WORK", 0)
     assert rank_int_rows(rows) == mat_rank(QMatrix.from_rows(rows)) == 16
     assert len(tried) == 2
 
@@ -270,7 +266,6 @@ def test_gfp_rank_meeting_the_bound_skips_bareiss(monkeypatch):
         raise AssertionError("Bareiss ran although the GF(p) rank met the bound")
 
     monkeypatch.setattr(linalg, "_bareiss", no_bareiss)
-    monkeypatch.setattr(linalg, "GFP_MIN_WORK", 0)
     rng = random.Random(9)
     rows = [[rng.randint(-99, 99) for _ in range(20)] for _ in range(16)]
     assert rank_int_rows(rows) == 16
