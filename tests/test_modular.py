@@ -102,11 +102,6 @@ def test_rank_mod_equals_scalar_elimination(rows):
     assert modular.rank_mod(rows) == rank_mod_gauss(rows, modular.MODULUS)
 
 
-def test_empty_matrices_have_rank_zero():
-    assert modular.rank_mod([]) == modular.rank_mod([[], [], []]) == 0
-    assert modular.rank_mod([[0, 0], [modular.MODULUS, 0]]) == 0
-
-
 @pytest.mark.parametrize("short, long", [(127, 130), (128, 130)])
 @pytest.mark.parametrize("tall", [False, True])
 def test_rank_deficient_on_either_side_of_a_slot_width_step(short, long, tall):
