@@ -9,13 +9,12 @@ t = 2 starts 12a, 3b, 3c, 2d, e, 2f in its first row).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from .linalg import (QMatrix, check_entries, mat_det, mat_kernel, mat_rank,
                      solve_linear)
-from .poly import (HomogPoly, apolar_apply, canonical_point, monomial_basis,
-                   monomial_count, monomial_index, power_linear)
+from .poly import (HomogPoly, canonical_point, monomial_basis, monomial_count,
+                   monomial_derivatives, monomial_index, power_linear)
 
 
 class DegreeOutOfRange(ValueError):
@@ -59,20 +58,22 @@ class RankCertificate:
 
 
 def catalecticant(form, t):
-    """Matrix of the degree-t differentiation map against F."""
+    """Matrix of the degree-t differentiation map against F, built from F's terms:
+    row alpha and column beta hold f_gamma * gamma!/alpha! for gamma = alpha + beta,
+    an int where f_gamma is an integer."""
     d = form.degree
     if t < 0 or t > d:
         raise DegreeOutOfRange("t = %d outside [0, %d]" % (t, d))
     n = form.num_vars
     check_entries(monomial_count(n, d - t) * monomial_count(n, t), "catalecticant")
-    col_mons = monomial_basis(n, t)
+    col_index = monomial_index(n, t)
     row_index = monomial_index(n, d - t)
-    rows = len(row_index)
-    entries = [[Fraction(0)] * len(col_mons) for _ in range(rows)]
-    for j, op_mono in enumerate(col_mons):
-        image = apolar_apply(HomogPoly.monomial(op_mono), form)
-        for mono, coeff in image.terms.items():
-            entries[row_index[mono]][j] = coeff
+    entries = [[0] * len(col_index) for _ in row_index]
+    for gamma, coeff in form.terms.items():
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
+        for beta, alpha, scalar in monomial_derivatives(gamma, t):
+            entries[row_index[alpha]][col_index[beta]] = coeff * scalar
     return CatalecticantMatrix(form, t, QMatrix.from_rows(entries))
 
 
@@ -116,8 +117,8 @@ def is_square_free_binary(binary_form):
     m = binary_form.degree - 1
     if m < 1:
         return True
-    partials = [apolar_apply(HomogPoly.monomial(e), binary_form).coeff_vector()
-                for e in ((1, 0), (0, 1))]
+    cat = catalecticant(binary_form, 1).matrix          # columns: the two partials
+    partials = [[cat.at(i, j) for i in range(m + 1)] for j in (0, 1)]
     rows = [[0] * k + p + [0] * (m - 1 - k) for p in partials for k in range(m)]
     return mat_det(QMatrix.from_rows(rows)) != 0
 

@@ -25,9 +25,8 @@ from .tensor import (flatten, format_rational, gss_minor_test, matmul_tensor,
                      multilinear_rank, strassen_det_symbolic, strassen_matrix,
                      tensor_from_json, tensor_to_json)
 
-# Every apolar input error and json.JSONDecodeError subclass ValueError;
-# ZeroDivisionError comes from Fraction("1/0") tensor entries.
-_INPUT_ERRORS = (ValueError, KeyError, OSError, ZeroDivisionError)
+# Every apolar input error and json.JSONDecodeError subclass ValueError.
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 def _leaf_flags():

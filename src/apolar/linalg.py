@@ -1,11 +1,11 @@
 """Exact dense linear algebra over the rationals.
 
-Scalars are `fractions.Fraction` (arbitrary-precision, always reduced,
-positive denominator).  Every routine first scales each row to integers by
-the lcm of its denominators.  Determinants, kernels and linear solves then
-run one fraction-free elimination, Bareiss style, so intermediate entries
-stay integral minors instead of exploding fractions; kernels and solves
-back-substitute through its echelon rows.
+Entries are ints or `fractions.Fraction`s, kept as given.  Every routine
+reads each row as integers, scaled by the lcm of its denominators (1 for a
+row of ints).  Determinants, kernels and linear solves then run one
+fraction-free elimination, Bareiss style, so intermediate entries stay
+integral minors instead of exploding fractions; kernels and solves
+back-substitute through its echelon rows and return Fractions.
 
 Every rank is tried over GF(p) first (`modular`).  The rank mod p of an
 integer matrix never exceeds its rank over Q, which in turn never exceeds
@@ -15,7 +15,7 @@ probability; otherwise Bareiss, the only elimination over Q, decides.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import modular
 
@@ -37,10 +37,10 @@ def check_entries(count, what):
 
 
 class QMatrix:
-    """Dense row-major matrix of Fractions."""
+    """Dense row-major matrix of ints and Fractions."""
 
     def __init__(self, rows, cols, entries):
-        entries = [Fraction(e) for e in entries]
+        entries = list(entries)
         if len(entries) != rows * cols:
             raise ValueError("entries length %d != %d x %d" % (len(entries), rows, cols))
         self.rows = rows
@@ -72,20 +72,14 @@ class QMatrix:
         return "QMatrix(%d x %d)" % (self.rows, self.cols)
 
 
-def _lcm(a, b):
-    return a // gcd(a, b) * b
-
-
 def _integer_rows(matrix):
     """Scale each row to integers; returns (int rows, per-row scale factors)."""
     int_rows = []
     scales = []
     for i in range(matrix.rows):
         row = matrix.row(i)
-        denom = 1
-        for e in row:
-            denom = _lcm(denom, e.denominator)
-        int_rows.append([int(e * denom) for e in row])
+        denom = lcm(*(e.denominator for e in row))
+        int_rows.append([e.numerator * (denom // e.denominator) for e in row])
         scales.append(denom)
     return int_rows, scales
 

@@ -17,7 +17,7 @@ import sys
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 MAX_VARS = 16
 MAX_DEGREE = 64
@@ -139,9 +139,12 @@ def _check_digits(count):
 
 
 def parse_int(text):
-    """int(text), with the digit limit checked first."""
+    """int(text), with the digit limit checked first and a non-integer named."""
     _check_digits(sum(ch.isdecimal() for ch in text))
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("expected an integer, got %r" % text) from None
 
 
 def _tokenize(text):
@@ -282,11 +285,18 @@ def power_linear(coefficients, degree):
     return HomogPoly(n, degree, terms)
 
 
-def _falling(base, count):
-    out = 1
-    for k in range(count):
-        out *= base - k
-    return out
+def monomial_derivatives(gamma, t):
+    """(beta, gamma - beta, gamma!/(gamma - beta)!) for each beta <= gamma of degree t:
+    y^beta applied to x^gamma is gamma!/(gamma - beta)! * x^(gamma - beta), and 0
+    unless beta <= gamma."""
+    partial = [((), (), 1, t)]
+    room = sum(gamma)
+    for g in gamma:
+        room -= g
+        partial = [(beta + (b,), alpha + (g - b,), scalar * perm(g, b), left - b)
+                   for beta, alpha, scalar, left in partial
+                   for b in range(max(0, left - room), min(g, left) + 1)]
+    return [(beta, alpha, scalar) for beta, alpha, scalar, _ in partial]
 
 
 def apolar_apply(operator, target):
@@ -297,24 +307,12 @@ def apolar_apply(operator, target):
     """
     if operator.num_vars != target.num_vars:
         raise ValueError("variable count mismatch")
-    n = target.num_vars
-    out_degree = max(target.degree - operator.degree, 0)
     terms = {}
-    for op_mono, op_coeff in operator.terms.items():
-        for tgt_mono, tgt_coeff in target.terms.items():
-            scalar = 1
-            key = []
-            for a, b in zip(op_mono, tgt_mono):
-                if a > b:
-                    scalar = 0
-                    break
-                scalar *= _falling(b, a)
-                key.append(b - a)
-            if scalar == 0:
-                continue
-            key = tuple(key)
-            terms[key] = terms.get(key, Fraction(0)) + op_coeff * tgt_coeff * scalar
-    return HomogPoly(n, out_degree, terms)
+    for gamma, coeff in target.terms.items():
+        for beta, alpha, scalar in monomial_derivatives(gamma, operator.degree):
+            if beta in operator.terms:
+                terms[alpha] = terms.get(alpha, 0) + operator.terms[beta] * coeff * scalar
+    return HomogPoly(target.num_vars, max(target.degree - operator.degree, 0), terms)
 
 
 def canonical_point(coordinates):

@@ -249,7 +249,10 @@ def parse_rational(value):
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         num, _, den = value.partition("/")
-        return Fraction(parse_int(num), parse_int(den or "1"))
+        den = parse_int(den or "1")
+        if den == 0:
+            raise ValueError("tensor entry %r has a zero denominator" % value)
+        return Fraction(parse_int(num), den)
     raise ValueError("tensor entries must be integers or 'p/q' strings, got %r" % (value,))
 
 
@@ -274,8 +277,8 @@ def tensor_from_json(obj):
     if "rank_one_sum" in obj:
         total = None
         for item in _json_list(obj["rank_one_sum"], "rank_one_sum"):
-            if not isinstance(item, dict):
-                raise ValueError("rank_one_sum items must be objects")
+            if not isinstance(item, dict) or "factors" not in item:
+                raise ValueError("rank_one_sum items must be objects with a 'factors' field")
             factors = [[parse_rational(x) for x in _json_list(v, "each factor")]
                        for v in _json_list(item["factors"], "factors")]
             coeff = parse_rational(item.get("coeff", 1))

@@ -3,13 +3,15 @@
 The linear-algebra routes eliminate naively over `Fraction` with rational
 pivots (Gauss-Jordan), independently of the fraction-free Bareiss kernel
 that `apolar.linalg` runs, or entry by entry mod p, independently of the
-packed-row kernel in `apolar.modular`.  The polynomial routes multiply and
-evaluate sparse term maps {exponent tuple: coefficient} term by term.  The
+packed-row kernel in `apolar.modular`.  The polynomial routes multiply,
+evaluate and differentiate sparse term maps {exponent tuple: coefficient}
+term by term.  The
 Segre tangent route builds rank-one tensors, independently of the Jacobian
 that `apolar.secant` evaluates.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from apolar.linalg import NonSquareError
 from apolar.poly import HomogPoly
@@ -128,6 +130,38 @@ def det_fraction_gauss(matrix):
                 f = work[i][c] * inv
                 work[i] = [a - f * b for a, b in zip(work[i], work[c])]
     return det
+
+
+def _exponent_tuples(num_vars, degree):
+    """Exponent tuples of the given degree, largest first in lexicographic
+    order, which is the graded-lex order with x0 largest."""
+    return sorted((m for m in product(range(degree + 1), repeat=num_vars)
+                   if sum(m) == degree), reverse=True)
+
+
+def _partial(terms, var):
+    """d/dx_var of the term map {exponent tuple: coefficient}."""
+    out = {}
+    for mono, coeff in terms.items():
+        if mono[var]:
+            lower = mono[:var] + (mono[var] - 1,) + mono[var + 1:]
+            out[lower] = out.get(lower, 0) + mono[var] * coeff
+    return out
+
+
+def catalecticant_by_partials(terms, num_vars, degree, t):
+    """Row lists of the degree-t catalecticant of the term map: column beta
+    is the coefficient vector of d^beta F, differentiated beta_i times in
+    each variable x_i, one partial at a time."""
+    rows = _exponent_tuples(num_vars, degree - t)
+    columns = []
+    for beta in _exponent_tuples(num_vars, t):
+        image = dict(terms)
+        for var, times in enumerate(beta):
+            for _ in range(times):
+                image = _partial(image, var)
+        columns.append([image.get(alpha, 0) for alpha in rows])
+    return [[col[i] for col in columns] for i in range(len(rows))]
 
 
 def poly_product(a, b):

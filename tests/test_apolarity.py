@@ -18,7 +18,7 @@ from apolar.apolarity import (AllZero, DegreeOutOfRange, DuplicatePoints,
 from apolar.linalg import QMatrix, mat_rank
 from apolar.poly import (HomogPoly, apolar_apply, monomial_basis, parse_poly,
                          power_linear)
-from oracles import poly_product, rank_fraction_gauss
+from oracles import catalecticant_by_partials, poly_product, rank_fraction_gauss
 
 
 def rand_form(rng, num_vars, degree, bound=9):
@@ -67,6 +67,31 @@ def test_catalecticant_of_pure_power():
 def test_catalecticant_rank_example():
     form = parse_poly("x0*x1^2", 2)
     assert mat_rank(catalecticant(form, 1).matrix) == 2
+
+
+@st.composite
+def forms_in_few_variables(draw):
+    """(F, integral): a form in 1-4 variables of degree at most 5 whose
+    coefficients are integers, or integers and p/q fractions."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    integral = draw(st.booleans())
+    coeff = st.integers(-9, 9)
+    if not integral:
+        coeff = coeff | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    terms = draw(st.dictionaries(st.sampled_from(monomial_basis(n, d)), coeff, max_size=8))
+    return HomogPoly(n, d, terms), integral
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(forms_in_few_variables())
+def test_catalecticant_equals_repeated_partials(case):
+    form, integral = case
+    for t in range(form.degree + 1):
+        matrix = catalecticant(form, t).matrix
+        assert [matrix.row(i) for i in range(matrix.rows)] == catalecticant_by_partials(
+            form.terms, form.num_vars, form.degree, t)
+        if integral:
+            assert all(type(e) is int for e in matrix.entries)
 
 
 def test_catalecticant_t_out_of_range():

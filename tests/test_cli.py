@@ -206,15 +206,18 @@ def test_input_error_exit_code(capsys, monkeypatch):
     assert code == 2
     code, out, err = run_cli(capsys, "tensor", "mlrank", "--file", "/no/such/file")
     assert code == 2
-    for stdin in ('{"shape": [2, 2], "entries": [1, "1/0", 2, 3]}',  # ZeroDivisionError
-                  '{"rank_one_sum": [{"coeff": 1}]}',                # KeyError
-                  'not json',                                        # JSONDecodeError
-                  '{"shape": 5, "entries": [1]}',                    # wrong JSON types
-                  '{"rank_one_sum": [5]}',
-                  '{"rank_one_sum": [{"factors": 5}]}'):
+    for stdin, message in (
+            ('{"shape": [2, 2], "entries": [1, "1/0", 2, 3]}',
+             "tensor entry '1/0' has a zero denominator"),
+            ('{"rank_one_sum": [{"coeff": 1}]}',
+             "rank_one_sum items must be objects with a 'factors' field"),
+            ('not json', "Expecting value: line 1 column 1 (char 0)"),
+            ('{"shape": 5, "entries": [1]}', "shape must be a JSON list"),
+            ('{"rank_one_sum": [5]}', "rank_one_sum items must be objects with a 'factors' field"),
+            ('{"rank_one_sum": [{"factors": 5}]}', "factors must be a JSON list")):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code, out, err = run_cli(capsys, "tensor", "mlrank")
-        assert code == 2 and "error:" in err
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
     # an entry is -?digits or -?digits/digits; Fraction(str) would also take
     # exponents (1e10000000 builds a ten-million-digit integer), decimals,
     # padding and digit separators
@@ -272,6 +275,18 @@ def test_number_too_long_to_read(argv, stdin, capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err == "error: the input has a number of more than 4300 digits, too long to read\n"
     assert "set_int_max_str_digits" not in err
+
+
+def test_non_integer_is_named(capsys):
+    for argv, text in ((["rank", "monomial", "--exponents", "1,,2"], ""),
+                       (["rank", "monomial", "--exponents", "1.5"], "1.5"),
+                       (["secant-dim", "segre", "--dims", "1,a", "--s", "2"], "a"),
+                       (["decompose-check", "--form", "x0^2", "--points", "1,1;;0,1"], "")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: expected an integer, got %r\n" % text)
+    # what int() takes is still taken: padding, signs and digit separators
+    code, env = run_json(capsys, "rank", "monomial", "--exponents", " 1,+2,1_0")
+    assert code == 0 and env["inputs"]["exponents"] == [1, 2, 10]
 
 
 def test_commands_import_only_the_standard_library():

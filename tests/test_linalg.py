@@ -166,7 +166,7 @@ def test_fractional_entries():
 
 
 def _rational_matrix(rows, cols):
-    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    entry = st.integers(-9, 9) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
     return st.lists(st.lists(entry, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows)
 
@@ -175,8 +175,10 @@ def _rational_matrix(rows, cols):
 def low_rank_systems(draw):
     """(M, b, consistent): rational M of low rank with zeroed rows and columns.
 
-    A consistent b is M x for a random rational x; otherwise b is drawn
-    freely and is usually outside the column space.
+    Entries are a mix of ints and Fractions, as QMatrix keeps them: an entry
+    whose products are all of ints stays an int, and a zeroed one is 0 or
+    Fraction(0).  A consistent b is M x for a random rational x; otherwise b
+    is drawn freely and is usually outside the column space.
     """
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 7))
     r = draw(st.integers(0, min(rows, cols, 3)))
@@ -184,14 +186,15 @@ def low_rank_systems(draw):
     right = draw(_rational_matrix(r, cols))
     dead_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
     dead_cols = draw(st.sets(st.integers(0, cols - 1)))
-    data = [[Fraction(0) if i in dead_rows or j in dead_cols
-             else sum((left[i][k] * right[k][j] for k in range(r)), Fraction(0))
+    dead = draw(st.sampled_from([0, Fraction(0)]))
+    data = [[dead if i in dead_rows or j in dead_cols
+             else sum(left[i][k] * right[k][j] for k in range(r))
              for j in range(cols)] for i in range(rows)]
     matrix = QMatrix(rows, cols, [e for row in data for e in row])
     consistent = draw(st.booleans())
     if consistent:
         x = draw(_rational_matrix(1, cols))[0]
-        b = [sum((row[j] * x[j] for j in range(cols)), Fraction(0)) for row in data]
+        b = [sum(row[j] * x[j] for j in range(cols)) for row in data]
     else:
         b = draw(_rational_matrix(1, rows))[0]
     return matrix, b, consistent
@@ -201,6 +204,9 @@ def low_rank_systems(draw):
 @given(low_rank_systems())
 def test_kernel_and_solve_equal_gauss_jordan(system):
     matrix, b, consistent = system
+    assert mat_rank(matrix) == rank_fraction_gauss(matrix)
+    if matrix.rows == matrix.cols:
+        assert mat_det(matrix) == det_fraction_gauss(matrix)
     assert mat_kernel(matrix) == kernel_fraction_gauss(matrix)
     sol = solve_linear(matrix, b)
     assert sol == solve_fraction_gauss(matrix, b)
