@@ -8,7 +8,7 @@ multinomial factors (the catalecticant of a generic ternary quartic at
 t = 2 starts 12a, 3b, 3c, 2d, e, 2f in its first row).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from .linalg import (QMatrix, check_entries, mat_det, mat_kernel, mat_rank,
@@ -33,26 +33,16 @@ class AllZero(ValueError):
     pass
 
 
-@dataclass
-class CatalecticantMatrix:
-    form: HomogPoly
-    t: int
-    matrix: QMatrix          # rows: monomials of degree d-t, cols: degree t
+# matrix rows: monomials of degree d-t, cols: degree t
+CatalecticantMatrix = namedtuple("CatalecticantMatrix", "form t matrix")
+# hf and perp_dims: HF(T/F-perp, t) and dim (F-perp)_t for t = 0..d+1
+ApolarProfile = namedtuple("ApolarProfile", "form hf perp_dims")
 
 
-@dataclass
-class ApolarProfile:
-    form: HomogPoly
-    hf: list                 # HF(T/F-perp, t) for t = 0..d+1
-    perp_dims: list          # dim (F-perp)_t for t = 0..d+1
+class RankCertificate(namedtuple("RankCertificate", "rank witness branch")):
+    """Waring rank, the annihilating operator that decided it, and which branch."""
 
-
-@dataclass
-class RankCertificate:
-    rank: int
-    witness: HomogPoly       # annihilating operator that decided the branch
-    branch: str
-
+    __slots__ = ()
     SQUARE_FREE_AT_D1 = "square_free_at_d1"
     FELL_THROUGH_TO_D2 = "fell_through_to_d2"
 

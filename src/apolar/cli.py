@@ -178,12 +178,16 @@ def _matrix_payload(matrix):
 
 
 def _read_tensor(path):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    obj = json.loads(text, parse_int=parse_int)
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        obj = json.loads(text, parse_int=parse_int)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        source = "stdin" if path == "-" else "tensor file %r" % path
+        raise ValueError("cannot read %s as JSON: %s" % (source, exc))
     if isinstance(obj, dict) and "result" in obj and isinstance(obj["result"], dict):
         inner = obj["result"]
         if "shape" in inner or "rank_one_sum" in inner:

@@ -17,7 +17,7 @@ import sys
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 
 MAX_VARS = 16
 MAX_DEGREE = 64
@@ -31,16 +31,23 @@ class NotHomogeneous(ValueError):
     pass
 
 
+def _sub_exponents(gamma, t):
+    """(beta, gamma - beta) for each beta <= gamma of degree t, beta in
+    graded-lex order with x0 largest."""
+    partial = [((), (), t)]
+    room = sum(gamma)
+    for g in gamma:
+        room -= g
+        partial = [(beta + (b,), alpha + (g - b,), left - b)
+                   for beta, alpha, left in partial
+                   for b in range(min(g, left), max(0, left - room) - 1, -1)]
+    return [(beta, alpha) for beta, alpha, _ in partial]
+
+
 @lru_cache(maxsize=None)
 def monomial_basis(num_vars, degree):
     """Exponent tuples of the given degree, graded-lex, x0 largest."""
-    if num_vars == 1:
-        return ((degree,),)
-    out = []
-    for e in range(degree, -1, -1):
-        for tail in monomial_basis(num_vars - 1, degree - e):
-            out.append((e,) + tail)
-    return tuple(out)
+    return tuple(beta for beta, _ in _sub_exponents((degree,) * num_vars, degree))
 
 
 def monomial_count(num_vars, degree):
@@ -289,14 +296,8 @@ def monomial_derivatives(gamma, t):
     """(beta, gamma - beta, gamma!/(gamma - beta)!) for each beta <= gamma of degree t:
     y^beta applied to x^gamma is gamma!/(gamma - beta)! * x^(gamma - beta), and 0
     unless beta <= gamma."""
-    partial = [((), (), 1, t)]
-    room = sum(gamma)
-    for g in gamma:
-        room -= g
-        partial = [(beta + (b,), alpha + (g - b,), scalar * perm(g, b), left - b)
-                   for beta, alpha, scalar, left in partial
-                   for b in range(max(0, left - room), min(g, left) + 1)]
-    return [(beta, alpha, scalar) for beta, alpha, scalar, _ in partial]
+    return [(beta, alpha, prod(map(perm, gamma, beta)))
+            for beta, alpha in _sub_exponents(gamma, t)]
 
 
 def apolar_apply(operator, target):

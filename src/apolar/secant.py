@@ -18,7 +18,7 @@ bound, which certifies it.  In exact mode the bound also lets
 """
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import product
 from math import comb, prod
@@ -47,6 +47,8 @@ def _monomial_columns(blocks):
 
 class _MonomialMap:
     """A variety given by `blocks`, one (coordinates, degree) pair per factor."""
+
+    __slots__ = ()
 
     @property
     def variety_dim(self):
@@ -88,14 +90,13 @@ class _MonomialMap:
         return rows
 
 
-@dataclass(frozen=True)
-class Veronese(_MonomialMap):
-    n: int
-    d: int
+class Veronese(_MonomialMap, namedtuple("Veronese", "n d")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.d < 1:
+    def __new__(cls, n, d):
+        if n < 1 or d < 1:
             raise ValueError("need n >= 1 and d >= 1")
+        return super().__new__(cls, n, d)
 
     @property
     def blocks(self):
@@ -105,13 +106,13 @@ class Veronese(_MonomialMap):
         return {"kind": "veronese", "n": self.n, "d": self.d}
 
 
-@dataclass(frozen=True)
-class Segre(_MonomialMap):
-    dims: tuple
+class Segre(_MonomialMap, namedtuple("Segre", "dims")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.dims or any(n < 1 for n in self.dims):
+    def __new__(cls, dims):
+        if not dims or any(n < 1 for n in dims):
             raise ValueError("need at least one factor, every factor dimension >= 1")
+        return super().__new__(cls, dims)
 
     @property
     def blocks(self):
@@ -121,14 +122,8 @@ class Segre(_MonomialMap):
         return {"kind": "segre", "dims": list(self.dims)}
 
 
-@dataclass
-class DimReport:
-    spec: object
-    computed_dim: int
-    expected_dim: int
-    defect: int
-    arithmetic_mode: str
-    certified: bool
+DimReport = namedtuple("DimReport", "spec computed_dim expected_dim defect "
+                       "arithmetic_mode certified")
 
 
 def expected_dim(spec, s):

@@ -14,6 +14,7 @@ most 4.
 """
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -178,23 +179,10 @@ def strassen_matrix(tensor):
     return QMatrix.from_rows(rows)
 
 
-class SymbolicDet:
-    """Expanded determinant of the generic slice pencil, 27 indeterminates.
-
-    Terms map exponent tuples (indexed by flat tensor position 9a + 3b + c)
-    to integer coefficients.
-    """
-
-    def __init__(self, terms):
-        self.terms = terms
-
-    @property
-    def term_count(self):
-        return len(self.terms)
-
-    @property
-    def total_degree(self):
-        return max(sum(m) for m in self.terms)
+# Expanded determinant of the generic slice pencil, 27 indeterminates: terms
+# map exponent tuples (indexed by flat tensor position 9a + 3b + c) to
+# integer coefficients.
+SymbolicDet = namedtuple("SymbolicDet", "terms term_count total_degree")
 
 
 @cache
@@ -235,7 +223,8 @@ def strassen_det_symbolic():
         memo[cols] = out
         return out
 
-    return SymbolicDet(minor(tuple(range(9))))
+    terms = minor(tuple(range(9)))
+    return SymbolicDet(terms, len(terms), max(sum(m) for m in terms))
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")

@@ -193,7 +193,7 @@ def test_text_output_mode(capsys):
     assert "certified=true" in out
 
 
-def test_input_error_exit_code(capsys, monkeypatch):
+def test_input_error_exit_code(capsys, monkeypatch, tmp_path):
     code, out, err = run_cli(capsys, "rank", "binary", "--form", "x0 + x1^2")
     assert code == 2
     assert "error:" in err
@@ -206,18 +206,28 @@ def test_input_error_exit_code(capsys, monkeypatch):
     assert code == 2
     code, out, err = run_cli(capsys, "tensor", "mlrank", "--file", "/no/such/file")
     assert code == 2
+    bad_bytes = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
     for stdin, message in (
-            ('{"shape": [2, 2], "entries": [1, "1/0", 2, 3]}',
+            (b'{"shape": [2, 2], "entries": [1, "1/0", 2, 3]}',
              "tensor entry '1/0' has a zero denominator"),
-            ('{"rank_one_sum": [{"coeff": 1}]}',
+            (b'{"rank_one_sum": [{"coeff": 1}]}',
              "rank_one_sum items must be objects with a 'factors' field"),
-            ('not json', "Expecting value: line 1 column 1 (char 0)"),
-            ('{"shape": 5, "entries": [1]}', "shape must be a JSON list"),
-            ('{"rank_one_sum": [5]}', "rank_one_sum items must be objects with a 'factors' field"),
-            ('{"rank_one_sum": [{"factors": 5}]}', "factors must be a JSON list")):
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            (b'not json', "cannot read stdin as JSON: Expecting value: line 1 column 1 (char 0)"),
+            (b'\xff{}', "cannot read stdin as JSON: " + bad_bytes),
+            (b'{"shape": 5, "entries": [1]}', "shape must be a JSON list"),
+            (b'{"rank_one_sum": [5]}',
+             "rank_one_sum items must be objects with a 'factors' field"),
+            (b'{"rank_one_sum": [{"factors": 5}]}', "factors must be a JSON list")):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
         code, out, err = run_cli(capsys, "tensor", "mlrank")
         assert (code, out, err) == (2, "", "error: %s\n" % message)
+    for content, message in ((b'not json', "Expecting value: line 1 column 1 (char 0)"),
+                             (b'\xff{}', bad_bytes)):
+        path = tmp_path / "tensor.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "tensor", "mlrank", "--file", str(path))
+        assert (code, out, err) == (
+            2, "", "error: cannot read tensor file %r as JSON: %s\n" % (str(path), message))
     # an entry is -?digits or -?digits/digits; Fraction(str) would also take
     # exponents (1e10000000 builds a ten-million-digit integer), decimals,
     # padding and digit separators
@@ -290,8 +300,9 @@ def test_non_integer_is_named(capsys):
 
 
 def test_commands_import_only_the_standard_library():
-    # apolar has no dependencies: after a Waring rank, a Hilbert function and
-    # an exact and a modular Terracini rank, every loaded module is apolar's
+    # apolar has no dependencies: after a generic Waring rank, a Hilbert
+    # function, an exact and a modular Terracini rank, the expanded Strassen
+    # determinant and a binary Waring rank, every loaded module is apolar's
     # own or the standard library's.  -S skips site, whose .pth hooks load
     # modules of other installed packages before apolar is imported.
     script = ("import sys, apolar.cli\n"
@@ -299,15 +310,20 @@ def test_commands_import_only_the_standard_library():
               "             ['hilbert', '--generic', '2', '4'],\n"
               "             ['secant-dim', 'veronese', '--n', '4', '--d', '4', '--s', '14'],\n"
               "             ['secant-dim', 'veronese', '--n', '4', '--d', '4', '--s', '14',\n"
-              "              '--arithmetic', 'modular']):\n"
+              "              '--arithmetic', 'modular'],\n"
+              "             ['tensor', 'strassen-expand'],\n"
+              "             ['rank', 'binary', '--form', 'x0*x1^2']):\n"
               "    assert apolar.cli.main(argv) == 0, argv\n"
               "tops = {name.partition('.')[0] for name in list(sys.modules)}\n"
-              "print(sorted(tops - set(sys.stdlib_module_names) - {'apolar', '__main__'}))\n")
+              "print(sorted(tops - set(sys.stdlib_module_names) - {'apolar', '__main__'}))\n"
+              "print('dataclasses' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(apolar.__file__))
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    # the result records are namedtuples: importing dataclasses would also
+    # load inspect, ast, dis and tokenize on every invocation
+    assert proc.stdout.splitlines()[-2:] == ["[]", "False"]
 
 
 def test_exact_secant_dim_of_a_462_square_tangent_matrix(capsys):

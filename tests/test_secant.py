@@ -25,6 +25,18 @@ def test_ambient_and_variety_dims():
     assert s.ambient_dim == 15 and s.variety_dim == 4
 
 
+def test_specs_validate_and_compare_by_value():
+    # specs are records: built positionally or by keyword, equal by value,
+    # and rejected on construction when a dimension or degree is below 1
+    assert Veronese(n=2, d=4) == Veronese(2, 4) != Veronese(2, 3)
+    assert Segre(dims=(1, 2)) == Segre((1, 2)) != Segre((2, 1))
+    assert (Veronese(2, 4).n, Veronese(2, 4).d, Segre((1, 2)).dims) == (2, 4, (1, 2))
+    for build, args in ((Veronese, (0, 2)), (Veronese, (2, 0)), (Segre, ((),)),
+                        (Segre, ((1, 0),))):
+        with pytest.raises(ValueError):
+            build(*args)
+
+
 def test_veronese_tangent_rows_examples():
     # row i: the x_i-partials of the graded-lex monomials at the point
     got = Veronese(2, 2).tangent_rows([[1, 0, 0]])
