@@ -188,9 +188,9 @@ def mat_kernel(matrix):
 
     One vector per free (non-pivot) column, with a 1 in that coordinate and
     0 in the other free ones.  Those coordinates fix the vector, so this is
-    the basis read off the reduced row echelon form.
+    the basis read off the reduced row echelon form, zero rows dropped.
     """
-    int_rows, _ = _integer_rows(matrix)
+    int_rows = [row for row in _integer_rows(matrix)[0] if any(row)]
     pivots, _ = _bareiss(int_rows, matrix.cols)
     zero, one = Fraction(0), Fraction(1)
     starts = [[one if j == free else zero for j in range(matrix.cols)]

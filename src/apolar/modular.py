@@ -1,12 +1,13 @@
 """Rank over GF(p) for the one prime p = 2^31 - 1, in pure Python.
 
-Each row of residues is packed into one int, a fixed-width slot per column,
-so clearing a column below the pivot is one big-int multiply-add per row,
-`row += (p - h) * pivot`, and slots are wide enough that none carries into
-the next.  As p is a Mersenne prime, 2^31 = 1 mod p: a fold that adds each
-slot's bits above the 31st to its low 31 bits shrinks every slot of the
-pivot row at once and keeps its residue.  Only integer entries are
-accepted: a rational entry raises TypeError rather than being truncated.
+Each row of residues is packed into one int, a fixed-width slot per column
+(at most 72 bits below 1024 pivots), so clearing a column below the pivot is
+one big-int multiply-add per row, by a multiplier of one CPython digit: h
+times the pivot row negated when h < 2^30, else (p - h) times the pivot row.
+No slot carries into the next.  As p is a Mersenne prime, 2^31 = 1 mod p: a
+fold that adds each slot's bits above the 31st to its low 31 bits shrinks
+every slot of the pivot row at once and keeps its residue.  Only integer
+entries are accepted: a rational entry raises TypeError, not truncation.
 
 A rank mod p never exceeds the rational rank.  `linalg` keeps it as the
 exact rank when it meets a proven upper bound, and Bareiss decides
@@ -28,8 +29,8 @@ def reduce_matrix(rows_of_entries):
     cols = len(rows_of_entries[0]) if rows else 0
     if not cols:
         return Packed([], 0, 0, 0)
-    # a slot holds a residue plus at most min(rows, cols) products below p * 2^32
-    width = 8 * -(-(65 + min(rows, cols).bit_length()) // 8)
+    # a residue plus m = min(rows, cols) products below 2^61 each, one bit spare
+    width = 8 * -(-(62 + min(rows, cols).bit_length()) // 8)
     pack = Struct("<" + "I%dx" % (width // 8 - 4) * cols).pack
     try:
         packed = [int.from_bytes(pack(*[e % MODULUS for e in row]), "little")
@@ -61,15 +62,18 @@ def rank_mod(rows_of_entries):
                 break
         else:
             continue
-        # Two folds take each pivot slot below 2^31 + 2^(width-61), scaling keeps
-        # it below 2^63, and two more leave it <= 2^31 + 1, the leading one 1 mod p.
+        # Two folds take each slot below 2^31 + 2^(width-61), scaling keeps it below
+        # 2^63, and two more leave it <= 2^31 + 1, leading 1 mod p (-1 in `negative`).
         pivot = fold(fold(rows.pop(i)))
         pivot = fold(fold(pivot * pow((pivot & below) >> shift, MODULUS - 2, MODULUS)))
+        negative = fold(fold(pivot * (MODULUS - 1)))
         rank += 1
         for i, row in enumerate(rows):
             h = ((row & below) >> shift) % MODULUS
-            if h:
+            if h >> 30:
                 rows[i] = row + (MODULUS - h) * pivot
+            elif h:
+                rows[i] = row + h * negative
         if not rows:
             break
     return rank

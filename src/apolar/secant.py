@@ -36,13 +36,24 @@ TRIALS = 3
 
 
 @cache
-def _monomial_columns(blocks):
-    """Each column x^E of the map, in itertools.product order over the blocks'
-    monomial bases, as the indices v * stride + E[v] of its nonzero exponents;
-    stride is the top degree + 1."""
+def _tangent_plan(blocks):
+    """(stride, columns, lowered, entries) for the Jacobian of the map.
+
+    stride is the top degree + 1; columns x^E run in itertools.product order
+    over the blocks' monomial bases.  lowered holds each distinct x^(E - e_v)
+    once, as indices u * stride + exponent; entries lists, column by column,
+    (v, column, E[v], index in lowered) for each v with E[v] > 0.
+    """
     stride = max(d for _, d in blocks) + 1
-    return tuple(tuple(v * stride + e for v, e in enumerate(sum(parts, ())) if e)
-                 for parts in product(*(monomial_basis(c, d) for c, d in blocks)))
+    lowered, entries = {}, []
+    for j, parts in enumerate(product(*(monomial_basis(c, d) for c, d in blocks))):
+        exps = sum(parts, ())
+        for v, e in enumerate(exps):
+            if e:
+                low = exps[:v] + (e - 1,) + exps[v + 1:]
+                low = tuple(u * stride + f for u, f in enumerate(low) if f)
+                entries.append((v, j, e, lowered.setdefault(low, len(lowered))))
+    return stride, j + 1, tuple(lowered), tuple(entries)
 
 
 class _MonomialMap:
@@ -69,23 +80,18 @@ class _MonomialMap:
     def tangent_rows(self, points):
         """Jacobian of the map at each point, one row per coordinate.
 
-        Entry (v, j) is E_j[v] * x^(E_j - e_v), read from a table of powers
-        of the point's coordinates, so zero coordinates need no division.
+        Entry (v, j) is E_j[v] * x^(E_j - e_v).  Each distinct lowered monomial
+        is evaluated once per point from a table of powers of its coordinates,
+        so an entry is one multiply and zero coordinates need no division.
         """
-        columns = _monomial_columns(self.blocks)
-        stride = max(d for _, d in self.blocks) + 1
+        stride, columns, lowered, entries = _tangent_plan(self.blocks)
         rows = []
         for pt in points:
             powers = [x ** f for x in pt for f in range(stride)]
-            block = [[0] * len(columns) for _ in pt]
-            for j, support in enumerate(columns):
-                for i in support:
-                    v, e = divmod(i, stride)
-                    val = e * powers[i - 1]
-                    for k in support:
-                        if k != i:
-                            val *= powers[k]
-                    block[v][j] = val
+            values = [prod([powers[i] for i in low]) for low in lowered]
+            block = [[0] * columns for _ in pt]
+            for v, j, e, k in entries:
+                block[v][j] = e * values[k]
             rows.extend(block)
         return rows
 

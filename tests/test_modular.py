@@ -105,7 +105,8 @@ def test_rank_mod_equals_scalar_elimination(rows):
 @pytest.mark.parametrize("short, long", [(127, 130), (128, 130)])
 @pytest.mark.parametrize("tall", [False, True])
 def test_rank_deficient_on_either_side_of_a_slot_width_step(short, long, tall):
-    # min(rows, cols) 127 packs 72-bit slots and 128 packs 80-bit slots
+    # min(rows, cols) 127 and 128 differ in bit length, which sets the slot
+    # width; both pack 72-bit slots
     p = modular.MODULUS
     rng = random.Random(short)
     data = [[_entry(rng) for _ in range(long)] for _ in range(short)]
@@ -114,5 +115,41 @@ def test_rank_deficient_on_either_side_of_a_slot_width_step(short, long, tall):
     data[short - 1] = [-x for x in data[3]]
     if tall:
         data = [list(column) for column in zip(*data)]
-    assert modular.reduce_matrix(data).width == (72 if short < 128 else 80)
+    assert modular.reduce_matrix(data).width == 72
     assert modular.rank_mod(data) == rank_mod_gauss(data, p) == short - 3
+
+
+@pytest.mark.parametrize("m, width", [
+    (1, 64), (3, 64), (4, 72), (127, 72), (128, 72), (1023, 72), (1024, 80)])
+def test_slot_width_steps_at_1024_pivots(m, width):
+    # a slot stays below 2^31 + m * 2^61 < 2^(61 + bitlen m); with one bit
+    # spare that is 64 bits up to m = 3 and 72 up to 1023.  The m x m matrix
+    # of one shared zero row is only reduced, never eliminated.
+    assert modular.reduce_matrix([[0] * m] * m).width == width
+
+
+@pytest.mark.parametrize("tall", [False, True])
+def test_rank_of_a_mixed_trapezoid_at_realistic_size(tall):
+    # 300 unit-trapezoidal rows and 40 zero rows in 320 columns have rank 300
+    # over every field, and row operations with integer multipliers keep it
+    p = modular.MODULUS
+    rng = random.Random(300)
+    rows, cols, rank = 340, 320, 300
+    leads = sorted(rng.sample(range(cols), rank))
+    data = [[0] * lead + [1] + [rng.randrange(p) for _ in range(cols - lead - 1)]
+            for lead in leads] + [[0] * cols for _ in range(rows - rank)]
+    for a in range(1, rows):  # fill column leads[0], the first pivot column
+        c = rng.randrange(p)
+        data[a] = [x + c * y for x, y in zip(data[a], data[0])]
+    for _ in range(2 * rows):
+        a, b = rng.sample(range(rows), 2)
+        c = rng.randrange(p)
+        data[a] = [x + c * y for x, y in zip(data[a], data[b])]
+    rng.shuffle(data)
+    # the first pivot clears rows with residues h below 2^30, through
+    # `negative`, and at least 2^30, through `pivot`
+    heads = [h for h in (row[leads[0]] % p for row in data) if h]
+    assert {h >> 30 for h in heads[1:]} == {0, 1}
+    if tall:
+        data = [list(column) for column in zip(*data)]
+    assert modular.rank_mod(data) == rank

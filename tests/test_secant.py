@@ -2,7 +2,7 @@
 
 import random
 
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -69,7 +69,7 @@ _COORD = st.integers(-3, 5)
 @given(st.data())
 def test_tangent_rows_match_oracles(data):
     if data.draw(st.booleans()):
-        n, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        n, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
         points = data.draw(st.lists(st.lists(_COORD, min_size=n + 1, max_size=n + 1),
                                     min_size=1, max_size=3))
         want = [row for pt in points for row in veronese_tangent_oracle(n, d, pt)]
@@ -82,6 +82,28 @@ def test_tangent_rows_match_oracles(data):
         points = [[x for v in f for x in v] for f in factors]
         want = [row for f in factors for row in rank_one_tangent_rows(list(f))]
         assert Segre(dims).tangent_rows(points) == want
+
+
+@pytest.mark.parametrize("blocks", [((2, 1),), ((3, 4),), ((5, 6),), ((5, 8),),
+                                    ((2, 1), (2, 1)), ((3, 1), (4, 1), (4, 1)),
+                                    ((2, 1), (3, 1), (2, 1), (5, 1))])
+def test_tangent_plan_stores_each_lowered_monomial_once(blocks):
+    stride, columns, lowered, entries = secant._tangent_plan(blocks)
+    exponents = []
+    for low in lowered:
+        e = [0] * sum(c for c, _ in blocks)
+        for i in low:
+            e[i // stride] = i % stride
+        exponents.append(tuple(e))
+    assert len(set(exponents)) == len(lowered)
+    if len(blocks) == 1:  # Veronese: every monomial of degree d - 1, once
+        (c, d), = blocks
+        assert len(lowered) == comb(c + d - 2, d - 1)
+        assert set(exponents) == set(monomial_basis(c, d - 1))
+    else:  # Segre: one coordinate from every block but one
+        assert len(lowered) == sum(prod(c for c, _ in blocks) // c for c, _ in blocks)
+    assert columns == prod(comb(c - 1 + d, d) for c, d in blocks)
+    assert {k for *_, k in entries} == set(range(len(lowered)))
 
 
 def test_sample_concatenates_affine_charts():
