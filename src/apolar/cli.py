@@ -323,12 +323,9 @@ def _cmd_tensor(args):
     if args.action == "matmul":
         t = matmul_tensor(args.n)
         return _envelope(args, "tensor.matmul", {"n": args.n}, tensor_to_json(t))
-    if args.action == "minors":
-        t = _read_tensor(args.file)
-        result = {"bound": args.r, "within_bound": gss_minor_test(t, args.r)}
-        return _envelope(args, "tensor.minors",
-                         {"shape": list(t.shape), "r": args.r}, result)
-    raise ValueError("unknown tensor action %r" % args.action)
+    t = _read_tensor(args.file)  # minors, the last of the six actions
+    result = {"bound": args.r, "within_bound": gss_minor_test(t, args.r)}
+    return _envelope(args, "tensor.minors", {"shape": list(t.shape), "r": args.r}, result)
 
 
 def _cmd_paper_fixtures(args):
@@ -366,30 +363,25 @@ def _print_text(envelope, stream):
              str(prov["certified"]).lower()), file=stream)
 
 
-def _print_result(result, stream, prefix=""):
-    if isinstance(result, dict):
-        for key in sorted(result):
-            value = result[key]
-            if key == "matrix":
-                print("%smatrix:" % prefix, file=stream)
-                for row in value:
-                    print("%s  [%s]" % (prefix, ", ".join(str(e) for e in row)), file=stream)
-            elif key == "fixtures" and isinstance(value, list):
-                for rec in value:
-                    if isinstance(rec, dict):
-                        print("%s%s: %s (%s)" % (prefix, rec.get("status", "?"),
-                                                 rec.get("name", "?"),
-                                                 rec.get("detail", "")), file=stream)
-                    else:
-                        print("%s- %s" % (prefix, rec), file=stream)
-            elif isinstance(value, dict):
-                print("%s%s: %s" % (prefix, key,
-                                    " ".join("%s=%s" % kv for kv in sorted(value.items()))),
-                      file=stream)
-            else:
-                print("%s%s: %s" % (prefix, key, value), file=stream)
-    else:
-        print("%s%s" % (prefix, result), file=stream)
+def _print_result(result, stream):
+    for key in sorted(result):
+        value = result[key]
+        if key == "matrix":
+            print("matrix:", file=stream)
+            for row in value:
+                print("  [%s]" % ", ".join(str(e) for e in row), file=stream)
+        elif key == "fixtures":
+            for rec in value:
+                if isinstance(rec, dict):
+                    print("%s: %s (%s)" % (rec["status"], rec["name"], rec["detail"]),
+                          file=stream)
+                else:
+                    print("- %s" % rec, file=stream)
+        elif isinstance(value, dict):
+            print("%s: %s" % (key, " ".join("%s=%s" % kv for kv in sorted(value.items()))),
+                  file=stream)
+        else:
+            print("%s: %s" % (key, value), file=stream)
 
 
 def main(argv=None):

@@ -243,21 +243,25 @@ def _veronese_case(ctx, n, d, s, want, salt):
     return report
 
 
+# Published secant dimensions: (n, d, s, dim) for the degree-d Veronese of
+# P^n and (dims, s, dim) for Segre products; the acceptance suite extends both.
+VERONESE_SECANT_DIMS = ((2, 2, 2, 4), (1, 3, 2, 3), (2, 4, 5, 13))
+SEGRE_SECANT_DIMS = (((1, 1, 1), 2, 7), ((2, 2, 2), 4, 25), ((3, 3, 3), 7, 63))
+
+
 def fx_secant_dims_veronese(ctx):
-    _veronese_case(ctx, 2, 2, 2, 4, 11)
-    _veronese_case(ctx, 1, 3, 2, 3, 12)
-    _veronese_case(ctx, 2, 4, 5, 13, 13)
-    return "Veronese secant dimensions 4, 3, 13"
+    for salt, (n, d, s, want) in enumerate(VERONESE_SECANT_DIMS, 11):
+        _veronese_case(ctx, n, d, s, want, salt)
+    return "Veronese secant dimensions " + ", ".join(str(c[-1]) for c in VERONESE_SECANT_DIMS)
 
 
 def fx_secant_dims_segre(ctx):
-    cases = [((1, 1, 1), 2, 7), ((2, 2, 2), 4, 25), ((3, 3, 3), 7, 63)]
-    for salt, (dims, s, want) in enumerate(cases):
+    for salt, (dims, s, want) in enumerate(SEGRE_SECANT_DIMS, 21):
         report = secant.terracini_dim_segre(
-            dims, s, seed=ctx.seed_for(21 + salt), arithmetic=ctx.arithmetic)
+            dims, s, seed=ctx.seed_for(salt), arithmetic=ctx.arithmetic)
         _expect(report.computed_dim == want,
                 "Segre %r s=%d must give %d, got %d" % (dims, s, want, report.computed_dim))
-    return "Segre secant dimensions 7, 25, 63"
+    return "Segre secant dimensions " + ", ".join(str(c[-1]) for c in SEGRE_SECANT_DIMS)
 
 
 def fx_generic_rank_function(ctx):

@@ -32,7 +32,11 @@ class NonSquareError(ValueError):
 def check_entries(count, what):
     """Raise ValueError before building `what` when it would have too many entries."""
     if count > MAX_ENTRIES:
-        raise ValueError("%s would have %d entries, more than the limit of %d"
+        if count >= 10 ** 18:
+            # may be too long to print: name a power of ten below it, as a
+            # count of b bits is at least 2^(b - 1) > 10^(0.301 (b - 1))
+            count = "over 10^%d" % ((count.bit_length() - 1) * 301 // 1000)
+        raise ValueError("%s would have %s entries, more than the limit of %d"
                          % (what, count, MAX_ENTRIES))
 
 

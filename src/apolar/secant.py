@@ -24,7 +24,7 @@ from itertools import product
 from math import comb, prod
 
 from . import modular
-from .linalg import check_entries, rank_int_rows
+from .linalg import MAX_ENTRIES, rank_int_rows
 from .poly import monomial_basis
 from .seeding import random_point, trial_rng
 
@@ -68,6 +68,19 @@ class _MonomialMap:
     @property
     def ambient_dim(self):
         return prod(comb(c - 1 + d, d) for c, d in self.blocks) - 1
+
+    def columns_up_to(self, cap):
+        """Monomials of the map (the tangent matrix's columns), or None when
+        more than cap.  A block's C(c - 1 + d, d) >= 2^min(c - 1, d), so one
+        past cap by that bound is never counted."""
+        total = 1
+        for c, d in self.blocks:
+            if min(c - 1, d) >= cap.bit_length():
+                return None
+            total *= comb(c - 1 + d, d)
+            if total > cap:
+                return None
+        return total
 
     @property
     def rows_per_point(self):
@@ -149,10 +162,15 @@ def defect_report(spec, s, seed=0, arithmetic=EXACT):
     """
     if not isinstance(spec, _MonomialMap):
         raise TypeError("unknown variety spec %r" % (spec,))
+    if s < 1:
+        raise ValueError("s must be at least 1")
+    # bounded before ambient_dim, whose exact count can run to millions of digits
+    if spec.columns_up_to(MAX_ENTRIES // (s * spec.rows_per_point)) is None:
+        raise ValueError("tangent matrix would have more than the limit of %d entries"
+                         % MAX_ENTRIES)
     expected = expected_dim(spec, s)
     known = known_true_dim(spec, s)
     upper = expected if known is None else known
-    check_entries(s * spec.rows_per_point * (spec.ambient_dim + 1), "tangent matrix")
     best = -1
     for trial in range(TRIALS):
         rng = trial_rng(seed, trial)

@@ -8,6 +8,7 @@ trials never perturbs earlier ones.
 import random
 
 _MASK64 = (1 << 64) - 1
+_COEFF_BOUND = 1000
 
 
 def splitmix64(state):
@@ -39,9 +40,9 @@ def random_point(rng, num_coords):
     return [rng.randint(1, 1 << 16) for _ in range(num_coords - 1)] + [1]
 
 
-def random_coefficients(rng, count, bound=1000):
-    """Nonzero-ish integer coefficient vector, entries uniform in [-bound, bound]."""
+def random_coefficients(rng, count):
+    """Nonzero integer coefficient vector, entries uniform in [-_COEFF_BOUND, _COEFF_BOUND]."""
     while True:
-        coeffs = [rng.randint(-bound, bound) for _ in range(count)]
+        coeffs = [rng.randint(-_COEFF_BOUND, _COEFF_BOUND) for _ in range(count)]
         if any(coeffs):
             return coeffs

@@ -1,10 +1,12 @@
 """Dense exact tensors: flattenings, minors, and the 3x3x3 slice pencil.
 
-Entries are stored row-major with the last index fastest.  A flattening
-reinterprets the tensor as a matrix by splitting the modes into a left and
-right group; multi-indices within each group are enumerated
+Entries are stored row-major with the last index fastest, so index i of
+mode m lies i strides along, a stride being the product of the later
+extents.  A flattening splits the modes into a left (row) and a right
+(column) group; multi-indices within each group are enumerated
 lexicographically with the listed modes in ascending order, which pins the
-matrix layout bit for bit.
+matrix layout bit for bit.  Entry (row, col) is the tensor entry at the
+row's offset plus the column's, each a sum of strided indices.
 
 For 3x3x3 tensors the antisymmetric 9x9 pencil built from the first-mode
 slices has rank 2 on rank-one tensors and is additive, so its rank bounds
@@ -48,10 +50,6 @@ class DenseTensor:
         self.entries = entries
 
     @classmethod
-    def zero(cls, shape):
-        return cls(shape, [Fraction(0)] * prod(shape))
-
-    @classmethod
     def rank_one(cls, factors, coeff=1):
         """coeff * v1 (x) v2 (x) ... (x) vt for the given factor vectors."""
         check_entries(prod(len(v) for v in factors), "rank-one tensor")
@@ -60,19 +58,6 @@ class DenseTensor:
         for v in factors:
             entries = [e * Fraction(c) for e in entries for c in v]
         return cls(shape, entries)
-
-    def flat_index(self, multi_index):
-        if len(multi_index) != len(self.shape):
-            raise WrongShape("index order mismatch")
-        flat = 0
-        for k, d in zip(multi_index, self.shape):
-            if not 0 <= k < d:
-                raise IndexError("index out of range")
-            flat = flat * d + k
-        return flat
-
-    def at(self, multi_index):
-        return self.entries[self.flat_index(multi_index)]
 
     def __add__(self, other):
         if self.shape != other.shape:
@@ -89,26 +74,17 @@ class DenseTensor:
 
 def flatten(tensor, left_modes):
     """Matrix of the tensor with the given modes (1-based) indexing rows."""
-    order = len(tensor.shape)
+    shape = tensor.shape
+    order = len(shape)
     left = sorted(set(left_modes))
     if not left or any(m < 1 or m > order for m in left) or len(left) >= order:
         raise InvalidModeSet("left modes must be a nonempty proper subset of 1..%d" % order)
-    left = [m - 1 for m in left]
-    right = [m for m in range(order) if m not in left]
-    row_idx = product(*(range(tensor.shape[m]) for m in left))
-    col_idx = list(product(*(range(tensor.shape[m]) for m in right)))
-    rows = []
-    for ri in row_idx:
-        row = []
-        for ci in col_idx:
-            full = [0] * order
-            for m, k in zip(left, ri):
-                full[m] = k
-            for m, k in zip(right, ci):
-                full[m] = k
-            row.append(tensor.at(tuple(full)))
-        rows.append(row)
-    return QMatrix.from_rows(rows)
+    # steps[m]: the flat offsets i * stride of the indices i of mode m (1-based)
+    steps = {m: range(0, prod(shape[m - 1:]), prod(shape[m:])) for m in range(1, order + 1)}
+    rows = [sum(index) for index in product(*(steps[m] for m in left))]
+    cols = [sum(index) for index in product(*(steps[m] for m in steps if m not in left))]
+    entries = tensor.entries
+    return QMatrix.from_rows([[entries[r + c] for c in cols] for r in rows])
 
 
 def multilinear_rank(tensor):
@@ -135,13 +111,12 @@ def matmul_tensor(n):
     if n < 1:
         raise ValueError("n must be at least 1")
     check_entries(n ** 6, "matrix multiplication tensor")
-    t = DenseTensor.zero((n * n, n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                idx = (i * n + j, j * n + l, i * n + l)
-                t.entries[t.flat_index(idx)] = Fraction(1)
-    return t
+    # a_ij b_jl contributes to c_il: entry (i n + j, j n + l, i n + l) is 1
+    m = n * n
+    entries = [0] * m ** 3
+    for i, j, l in product(range(n), repeat=3):
+        entries[((i * n + j) * m + j * n + l) * m + i * n + l] = 1
+    return DenseTensor((m, m, m), entries)
 
 
 # block pattern: (block row, block col) -> (sign, first-mode slice)

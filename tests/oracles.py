@@ -7,7 +7,9 @@ packed-row kernel in `apolar.modular`.  The polynomial routes multiply,
 evaluate and differentiate sparse term maps {exponent tuple: coefficient}
 term by term.  The
 Segre tangent route builds rank-one tensors, independently of the Jacobian
-that `apolar.secant` evaluates.
+that `apolar.secant` evaluates.  The flattening route reads a tensor entry
+by entry at full multi-indices, independently of the strided offsets that
+`apolar.tensor.flatten` sums.
 """
 
 from fractions import Fraction
@@ -201,3 +203,36 @@ def rank_one_tangent_rows(factors):
             unit = [int(k == b) for k in range(len(v))]
             rows.append(DenseTensor.rank_one(factors[:i] + [unit] + factors[i + 1:]).entries)
     return rows
+
+
+def flat_position(shape, multi_index):
+    """Row-major position of a multi-index, the last index fastest."""
+    flat = 0
+    for k, d in zip(multi_index, shape, strict=True):
+        assert 0 <= k < d
+        flat = flat * d + k
+    return flat
+
+
+def flatten_by_multi_index(tensor, left_modes):
+    """(rows, cols, entries) of a flattening, read entry by entry.
+
+    Rows run lexicographically over the multi-indices of the distinct left
+    modes in ascending order, columns over those of the other modes; each
+    entry is the tensor's entry at the full multi-index the two make.
+    """
+    shape = tensor.shape
+    left = sorted({m - 1 for m in left_modes})
+    right = [m for m in range(len(shape)) if m not in left]
+    row_idx = list(product(*(range(shape[m]) for m in left)))
+    col_idx = list(product(*(range(shape[m]) for m in right)))
+    entries = []
+    for ri in row_idx:
+        for ci in col_idx:
+            full = [0] * len(shape)
+            for m, k in zip(left, ri):
+                full[m] = k
+            for m, k in zip(right, ci):
+                full[m] = k
+            entries.append(tensor.entries[flat_position(shape, full)])
+    return len(row_idx), len(col_idx), entries

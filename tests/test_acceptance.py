@@ -17,7 +17,8 @@ from math import comb
 from apolar import modular
 from apolar.apolarity import (catalecticant, decompose_check,
                               hilbert_function, monomial_rank, sylvester_rank)
-from apolar.fixtures import QUARTIC_CATALECTICANT_PATTERN
+from apolar.fixtures import (QUARTIC_CATALECTICANT_PATTERN, SEGRE_SECANT_DIMS,
+                             VERONESE_SECANT_DIMS)
 from apolar.linalg import QMatrix, mat_det, mat_kernel, mat_rank
 from apolar.poly import HomogPoly, monomial_basis, parse_poly, power_linear
 from apolar.secant import (Veronese, big_waring_g, terracini_dim_segre,
@@ -150,8 +151,7 @@ def test_criterion_5_decomposition_identity():
 
 
 def test_criterion_6_veronese_secant_dimensions():
-    cases = [(2, 2, 2, 4), (1, 3, 2, 3), (2, 4, 5, 13),
-             (3, 4, 9, 33), (4, 4, 14, 68), (4, 3, 7, 33)]
+    cases = VERONESE_SECANT_DIMS + ((3, 4, 9, 33), (4, 4, 14, 68), (4, 3, 7, 33))
     got = {}
     for n, d, s, want in cases:
         report = terracini_dim_veronese(n, d, s, seed=106)
@@ -190,8 +190,7 @@ def test_criterion_7_generic_rank_function():
 
 
 def test_criterion_8_segre_secant_dimensions():
-    cases = [((1, 1, 1), 2, 7), ((1, 1, 1, 1), 3, 13),
-             ((2, 2, 2), 4, 25), ((3, 3, 3), 7, 63)]
+    cases = SEGRE_SECANT_DIMS + (((1, 1, 1, 1), 3, 13),)
     got = []
     for dims, s, want in cases:
         report = terracini_dim_segre(dims, s, seed=108)

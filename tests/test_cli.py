@@ -393,6 +393,11 @@ def test_flags_rejected_where_not_honoured(argv, message, capsys):
     ["secant-dim", "veronese", "--n", "15", "--d", "20", "--s", "1000"],
     ["secant-dim", "segre", "--dims", "99,99,99", "--s", "1"],
     ["tensor", "matmul", "--n", "11"],
+    # counts of more digits than str() converts: the exact ambient dimension
+    # of the first alone took over a second to compute
+    ["secant-dim", "veronese", "--n", "100000", "--d", "100000", "--s", "1"],
+    ["secant-dim", "segre", "--dims", ",".join(["100000"] * 2000), "--s", "1"],
+    ["tensor", "matmul", "--n", "1" + "0" * 800],
 ])
 def test_oversized_input_rejected_before_building(argv, capsys):
     # each would build far more than linalg.MAX_ENTRIES entries
@@ -400,6 +405,7 @@ def test_oversized_input_rejected_before_building(argv, capsys):
     assert code == 2
     assert out == ""
     assert "more than the limit" in err
+    assert "sys.set_int_max_str_digits" not in err
 
 
 def test_oversized_rank_one_sum_rejected_before_building(capsys, tmp_path):

@@ -25,6 +25,18 @@ def test_ambient_and_variety_dims():
     assert s.ambient_dim == 15 and s.variety_dim == 4
 
 
+_SPECS = (st.builds(Veronese, st.integers(1, 40), st.integers(1, 40))
+          | st.builds(Segre, st.lists(st.integers(1, 60), min_size=1, max_size=5).map(tuple)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SPECS, st.integers(0, 10 ** 7))
+def test_columns_up_to_is_the_column_count_or_none(spec, cap):
+    # the tangent matrix has one column per coordinate of the ambient space
+    columns = spec.ambient_dim + 1
+    assert spec.columns_up_to(cap) == (columns if columns <= cap else None)
+
+
 def test_specs_validate_and_compare_by_value():
     # specs are records: built positionally or by keyword, equal by value,
     # and rejected on construction when a dimension or degree is below 1

@@ -1,10 +1,12 @@
 """Tensors: flattenings, minors, the matrix-multiplication cube, the pencil."""
 
+import math
 import random
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apolar.linalg import mat_det, mat_rank
 from apolar.tensor import (DenseTensor, InvalidModeSet, WrongShape, flatten,
@@ -12,7 +14,8 @@ from apolar.tensor import (DenseTensor, InvalidModeSet, WrongShape, flatten,
                            multilinear_rank, parse_rational,
                            strassen_det_symbolic, strassen_matrix,
                            tensor_from_json, tensor_to_json)
-from oracles import det_fraction_gauss, evaluate_terms, rank_fraction_gauss
+from oracles import (det_fraction_gauss, evaluate_terms, flat_position,
+                     flatten_by_multi_index, rank_fraction_gauss)
 
 
 def rand_rank_one(rng, shape, lo=-9, hi=9):
@@ -36,7 +39,7 @@ def test_rank_one_flattenings():
 
 
 def test_zero_tensor_flattening():
-    t = DenseTensor.zero((2, 2, 2))
+    t = DenseTensor((2, 2, 2), [0] * 8)
     m = flatten(t, [1])
     assert m.rows == 2 and m.cols == 4
     assert mat_rank(m) == 0
@@ -50,18 +53,50 @@ def test_flatten_layout_and_transpose_rank():
     assert left.rows == 2 and left.cols == 6
     assert right.rows == 6 and right.cols == 2
     # explicit entry: row (i), col (j, k) lexicographic
-    assert left.at(1, 4) == t.at((1, 2, 0))
+    assert left.at(1, 4) == t.entries[flat_position(t.shape, (1, 2, 0))]
     assert mat_rank(left) == mat_rank(right)
 
 
 def test_flatten_mode_validation():
-    t = DenseTensor.zero((2, 2, 2))
+    t = DenseTensor((2, 2, 2), [0] * 8)
     with pytest.raises(InvalidModeSet):
         flatten(t, [])
     with pytest.raises(InvalidModeSet):
         flatten(t, [1, 2, 3])
     with pytest.raises(InvalidModeSet):
         flatten(t, [4])
+
+
+_ENTRY = st.integers(-9, 9) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def _tensor_and_left_modes(draw):
+    """A tensor of order 2-4, extents 1-4, and a nonempty proper subset of its
+    modes, listed in any order and with repeats."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    count = math.prod(shape)
+    tensor = DenseTensor(shape, draw(st.lists(_ENTRY, min_size=count, max_size=count)))
+    subset = draw(st.sets(st.integers(1, len(shape)), min_size=1, max_size=len(shape) - 1))
+    repeats = draw(st.lists(st.sampled_from(sorted(subset)), max_size=2))
+    return tensor, draw(st.permutations(sorted(subset) + repeats))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_tensor_and_left_modes())
+def test_flatten_matches_entrywise_definition(case):
+    tensor, modes = case
+    m = flatten(tensor, modes)
+    assert (m.rows, m.cols, m.entries) == flatten_by_multi_index(tensor, modes)
+
+
+def test_matmul_tensor_ones_at_their_multi_indices():
+    for n in (1, 2, 3):
+        t = matmul_tensor(n)
+        ones = {flat_position(t.shape, (i * n + j, j * n + l, i * n + l))
+                for i in range(n) for j in range(n) for l in range(n)}
+        assert len(ones) == n ** 3
+        assert t.entries == [int(k in ones) for k in range(len(t.entries))]
 
 
 def test_flatten_is_linear():
@@ -134,8 +169,8 @@ def test_matmul_tensor_contracts_to_products():
                     for j in range(n):
                         for k in range(n):
                             for l in range(n):
-                                prod[p][q] += int(t.at((i * n + j, k * n + l, p * n + q))
-                                                  ) * a[i][j] * b[k][l]
+                                flat = flat_position(t.shape, (i * n + j, k * n + l, p * n + q))
+                                prod[p][q] += int(t.entries[flat]) * a[i][j] * b[k][l]
         want = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
                 for i in range(n)]
         assert prod == want
@@ -184,7 +219,7 @@ def test_pencil_det_rank_four_vs_five():
 
 def test_pencil_requires_cube():
     with pytest.raises(WrongShape):
-        strassen_matrix(DenseTensor.zero((2, 3, 3)))
+        strassen_matrix(DenseTensor((2, 3, 3), [0] * 18))
 
 
 def test_symbolic_expansion_basics():
