@@ -82,13 +82,18 @@ def perp_piece(form, t):
 
 
 def hilbert_function(form):
-    """Hilbert function of T modulo the annihilator, degrees 0 through d+1."""
+    """Hilbert function of T modulo the annihilator, degrees 0 through d+1.
+
+    diag(alpha!) Cat_t is the transpose of diag(beta!) Cat_{d-t}, both entries
+    being f_gamma * gamma! for gamma = alpha + beta, so HF(t) = HF(d - t), the
+    symmetry of an Artinian Gorenstein algebra: only t <= d/2 is ranked.
+    """
     if form.is_zero():
         raise ZeroPolynomial("Hilbert function needs a nonzero form")
     d = form.degree
     n = form.num_vars
-    hf = [mat_rank(catalecticant(form, t).matrix) for t in range(d + 1)]
-    hf.append(0)
+    half = [mat_rank(catalecticant(form, t).matrix) for t in range(d // 2 + 1)]
+    hf = half + half[:(d + 1) // 2][::-1] + [0]
     perp_dims = [monomial_count(n, t) - hf[t] for t in range(d + 2)]
     return ApolarProfile(form, hf, perp_dims)
 

@@ -12,18 +12,17 @@ import io
 import json
 import sys
 
-from . import fixtures as fixture_mod
-from . import secant
 from .apolarity import (catalecticant, decompose_check, hilbert_function,
                         monomial_rank, perp_piece, quadratic_rank,
                         sylvester_rank)
 from .linalg import check_entries, mat_det, mat_rank
-from .poly import (MAX_DEGREE, MAX_VARS, HomogPoly, infer_num_vars,
-                   monomial_count, parse_int, parse_poly, render_poly)
-from .seeding import random_coefficients, trial_rng
-from .tensor import (flatten, format_rational, gss_minor_test, matmul_tensor,
-                     multilinear_rank, strassen_det_symbolic, strassen_matrix,
-                     tensor_from_json, tensor_to_json)
+from .poly import (MAX_DEGREE, MAX_VARS, HomogPoly, format_rational,
+                   infer_num_vars, monomial_count, parse_int, parse_poly,
+                   render_poly)
+from .seeding import TRIALS, random_coefficients, trial_rng
+
+# fixtures, secant and tensor are imported by the commands that use them, so
+# the other commands neither compile nor run them
 
 # Every apolar input error and json.JSONDecodeError subclass ValueError.
 _INPUT_ERRORS = (ValueError, OSError)
@@ -160,7 +159,7 @@ def _envelope(args, command, inputs, result, certified=True):
         "result": result,
         "provenance": {
             "seed": args.seed,
-            "trials": secant.TRIALS,
+            "trials": TRIALS,
             "arithmetic_mode": args.arithmetic,
             "certified": bool(certified),
         },
@@ -178,6 +177,7 @@ def _matrix_payload(matrix):
 
 
 def _read_tensor(path):
+    from .tensor import tensor_from_json
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -196,6 +196,7 @@ def _read_tensor(path):
 
 
 def _dim_report_result(report):
+    from .secant import MODULAR
     return {
         "variety": report.spec.describe(),
         "computed_dim": report.computed_dim,
@@ -203,7 +204,7 @@ def _dim_report_result(report):
         "defect": report.defect,
         "ambient_dim": report.spec.ambient_dim,
         "variety_dim": report.spec.variety_dim,
-        "probabilistic_lower_bound": report.arithmetic_mode == secant.MODULAR,
+        "probabilistic_lower_bound": report.arithmetic_mode == MODULAR,
     }
 
 
@@ -279,6 +280,7 @@ def _cmd_decompose_check(args):
 
 
 def _cmd_secant_dim(args):
+    from . import secant
     if args.variety == "veronese":
         report = secant.terracini_dim_veronese(
             args.n, args.d, args.s, seed=args.seed, arithmetic=args.arithmetic)
@@ -293,11 +295,14 @@ def _cmd_secant_dim(args):
 
 
 def _cmd_ah_g(args):
-    result = {"g": secant.big_waring_g(args.n, args.d)}
+    from .secant import big_waring_g
+    result = {"g": big_waring_g(args.n, args.d)}
     return _envelope(args, "ah-g", {"n": args.n, "d": args.d}, result)
 
 
 def _cmd_tensor(args):
+    from .tensor import (flatten, gss_minor_test, matmul_tensor, multilinear_rank,
+                         strassen_det_symbolic, strassen_matrix, tensor_to_json)
     if args.action == "flatten":
         t = _read_tensor(args.file)
         modes = _int_list(args.modes)
@@ -329,6 +334,7 @@ def _cmd_tensor(args):
 
 
 def _cmd_paper_fixtures(args):
+    from . import fixtures as fixture_mod
     if args.list:
         result = {"fixtures": fixture_mod.fixture_names()}
         return _envelope(args, "paper-fixtures", {"list": True}, result)

@@ -71,9 +71,9 @@ class HomogPoly:
         self.degree = degree
         clean = {}
         for mono, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
+            if not coeff:
                 continue
+            coeff = Fraction(coeff)
             if len(mono) != num_vars or sum(mono) != degree:
                 raise ValueError("term %r does not have degree %d in %d variables"
                                  % (mono, degree, num_vars))
@@ -314,6 +314,14 @@ def apolar_apply(operator, target):
             if beta in operator.terms:
                 terms[alpha] = terms.get(alpha, 0) + operator.terms[beta] * coeff * scalar
     return HomogPoly(target.num_vars, max(target.degree - operator.degree, 0), terms)
+
+
+def format_rational(value):
+    """Integers stay JSON integers; everything else becomes 'p/q'."""
+    value = Fraction(value)
+    if value.denominator == 1:
+        return int(value)
+    return "%d/%d" % (value.numerator, value.denominator)
 
 
 def canonical_point(coordinates):

@@ -26,13 +26,10 @@ from math import comb, prod
 from . import modular
 from .linalg import MAX_ENTRIES, rank_int_rows
 from .poly import monomial_basis
-from .seeding import random_point, trial_rng
+from .seeding import TRIALS, random_point, trial_rng
 
 EXACT = "exact"
 MODULAR = "modular"
-# samples one report takes at most: a rank below the proven upper bound may
-# come from a special sample, so another is drawn
-TRIALS = 3
 
 
 @cache

@@ -9,6 +9,10 @@ import random
 
 _MASK64 = (1 << 64) - 1
 _COEFF_BOUND = 1000
+# samples a secant-dimension report takes at most: a rank below the proven
+# upper bound may come from a special sample, so another is drawn.  Every
+# report envelope records it, whatever the command.
+TRIALS = 3
 
 
 def splitmix64(state):

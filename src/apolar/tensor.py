@@ -23,7 +23,7 @@ from itertools import product
 from math import prod
 
 from .linalg import QMatrix, check_entries, mat_rank
-from .poly import parse_int
+from .poly import format_rational, parse_int
 
 
 class InvalidModeSet(ValueError):
@@ -218,14 +218,6 @@ def parse_rational(value):
             raise ValueError("tensor entry %r has a zero denominator" % value)
         return Fraction(parse_int(num), den)
     raise ValueError("tensor entries must be integers or 'p/q' strings, got %r" % (value,))
-
-
-def format_rational(value):
-    """Integers stay JSON integers; everything else becomes 'p/q'."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return int(value)
-    return "%d/%d" % (value.numerator, value.denominator)
 
 
 def _json_list(value, field):

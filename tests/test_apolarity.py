@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apolar.apolarity import (AllZero, DegreeOutOfRange, DuplicatePoints,
                               RankCertificate, ZeroPolynomial, catalecticant,
@@ -189,6 +189,31 @@ def test_hilbert_symmetry_and_profile_invariants():
         for t in range(d + 1):
             assert hf[t] == hf[d - t]
             assert hf[t] + profile.perp_dims[t] == len(monomial_basis(n + 1, t))
+
+
+_NONZERO_COEFF = (st.integers(-9, 9).filter(bool)
+                  | st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 6)))
+
+
+@st.composite
+def nonzero_forms(draw):
+    """A nonzero form in 1-3 variables of degree 0-8, with integer or p/q terms."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 8))
+    terms = draw(st.dictionaries(st.sampled_from(monomial_basis(n, d)), _NONZERO_COEFF,
+                                 min_size=1, max_size=8))
+    return HomogPoly(n, d, terms)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(nonzero_forms())
+@example(HomogPoly(2, 0, {(0, 0): 3}))
+@example(HomogPoly(3, 1, {(0, 1, 0): Fraction(-2, 5)}))
+def test_hilbert_function_is_every_catalecticant_rank(form):
+    # hilbert_function ranks Cat_t for t <= d/2 only and mirrors the rest;
+    # here every Cat_t is ranked, so a wrong mirror (or its length) shows
+    d = form.degree
+    ranks = [mat_rank(catalecticant(form, t).matrix) for t in range(d + 1)]
+    assert hilbert_function(form).hf == ranks + [0]
 
 
 def test_catalecticant_transpose_duality():

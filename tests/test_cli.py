@@ -326,6 +326,61 @@ def test_commands_import_only_the_standard_library():
     assert proc.stdout.splitlines()[-2:] == ["[]", "False"]
 
 
+_FORM_COMMANDS = [
+    ["hilbert", "--generic", "2", "4"],
+    ["hilbert", "--form", "x0*x1^2"],
+    ["perp", "--form", "x0*x1^2", "--t", "2"],
+    ["catalecticant", "--form", "1/2*x0^2*x1", "--t", "1"],
+    ["rank", "binary", "--form", "x0*x1^2"],
+    ["rank", "monomial", "--exponents", "1,1,1"],
+    ["rank", "quadratic", "--form", "x0^2+x1^2"],
+    ["ah-g", "--n", "2", "--d", "4"],
+    ["secant-dim", "veronese", "--n", "2", "--d", "4", "--s", "5"],
+    ["secant-dim", "segre", "--dims", "1,1,1", "--s", "2", "--arithmetic", "modular"],
+]
+
+
+def _apolar_modules_after(argv, cwd):
+    """(exit code, apolar submodules loaded) after one command in a fresh process."""
+    script = ("import sys, apolar.cli\n"
+              "code = apolar.cli.main(sys.argv[1:])\n"
+              "print(sorted(m for m in sys.modules if m.startswith('apolar.')), "
+              "file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(apolar.__file__))
+    proc = subprocess.run([sys.executable, "-c", script] + argv, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), cwd=cwd,
+                          timeout=120)
+    return proc.returncode, proc.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", _FORM_COMMANDS, ids=[" ".join(a[:2]) for a in _FORM_COMMANDS])
+def test_form_and_secant_commands_skip_fixtures_and_tensor(argv, tmp_path):
+    # each command imports only the modules it runs: paper-fixtures alone
+    # needs apolar.fixtures, and the tensor commands alone apolar.tensor
+    code, modules = _apolar_modules_after(argv, tmp_path)
+    assert code == 0, modules
+    assert "apolar.fixtures" not in modules and "apolar.tensor" not in modules
+    if argv[0] == "hilbert":
+        assert "apolar.secant" not in modules
+
+
+def test_lazily_imported_commands_still_run(tmp_path):
+    pencil = {"rank_one_sum": [{"factors": [[1, 2, 0], [0, 1, 3], [2, 0, 1]]},
+                               {"factors": [[0, 1, 1], [1, 0, 2], [3, 1, 0]], "coeff": "1/2"}]}
+    (tmp_path / "pencil.json").write_text(json.dumps(pencil))
+    for argv in (["paper-fixtures", "--list"], ["paper-fixtures"],
+                 ["tensor", "matmul", "--n", "2"],
+                 ["tensor", "strassen-expand"],
+                 ["tensor", "flatten", "--file", "pencil.json", "--modes", "1"],
+                 ["tensor", "mlrank", "--file", "pencil.json"],
+                 ["tensor", "strassen", "--file", "pencil.json"],
+                 ["tensor", "minors", "--file", "pencil.json", "--r", "2"]):
+        code, modules = _apolar_modules_after(argv, tmp_path)
+        assert code == 0, (argv, modules)
+        assert "apolar." + argv[0].replace("paper-", "") in modules
+
+
 def test_exact_secant_dim_of_a_462_square_tangent_matrix(capsys):
     # Bareiss alone took minutes here; the GF(p) rank meets the bound 462
     code, env = run_json(capsys, "secant-dim", "veronese", "--n", "5", "--d", "6", "--s", "77")
