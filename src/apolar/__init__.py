@@ -31,7 +31,3 @@ def __getattr__(name):
     value = getattr(import_module("." + _HOME[name], __name__), name)
     globals()[name] = value
     return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_HOME))

@@ -17,22 +17,6 @@ from .poly import (HomogPoly, canonical_point, monomial_basis, monomial_count,
                    monomial_derivatives, monomial_index, power_linear)
 
 
-class DegreeOutOfRange(ValueError):
-    pass
-
-
-class ZeroPolynomial(ValueError):
-    pass
-
-
-class DuplicatePoints(ValueError):
-    pass
-
-
-class AllZero(ValueError):
-    pass
-
-
 # matrix rows: monomials of degree d-t, cols: degree t
 CatalecticantMatrix = namedtuple("CatalecticantMatrix", "form t matrix")
 # hf and perp_dims: HF(T/F-perp, t) and dim (F-perp)_t for t = 0..d+1
@@ -53,7 +37,7 @@ def catalecticant(form, t):
     an int where f_gamma is an integer."""
     d = form.degree
     if t < 0 or t > d:
-        raise DegreeOutOfRange("t = %d outside [0, %d]" % (t, d))
+        raise ValueError("t = %d outside [0, %d]" % (t, d))
     n = form.num_vars
     check_entries(monomial_count(n, d - t) * monomial_count(n, t), "catalecticant")
     col_index = monomial_index(n, t)
@@ -70,9 +54,9 @@ def catalecticant(form, t):
 def perp_piece(form, t):
     """Basis of the degree-t piece of the annihilator, in dual variables."""
     if t < 0:
-        raise DegreeOutOfRange("t must be nonnegative")
+        raise ValueError("t must be nonnegative")
     if form.is_zero():
-        raise ZeroPolynomial("annihilator of the zero form is everything")
+        raise ValueError("annihilator of the zero form is everything")
     n = form.num_vars
     if t > form.degree:
         check_entries(monomial_count(n, t), "degree-%d monomial basis" % t)
@@ -89,7 +73,7 @@ def hilbert_function(form):
     symmetry of an Artinian Gorenstein algebra: only t <= d/2 is ranked.
     """
     if form.is_zero():
-        raise ZeroPolynomial("Hilbert function needs a nonzero form")
+        raise ValueError("Hilbert function needs a nonzero form")
     d = form.degree
     n = form.num_vars
     half = [mat_rank(catalecticant(form, t).matrix) for t in range(d // 2 + 1)]
@@ -128,7 +112,7 @@ def sylvester_rank(binary_form):
     if binary_form.num_vars != 2:
         raise ValueError("binary form required")
     if binary_form.is_zero():
-        raise ZeroPolynomial("rank of the zero form is undefined")
+        raise ValueError("rank of the zero form is undefined")
     d = binary_form.degree
     for t in range(1, d + 2):
         basis = perp_piece(binary_form, t)
@@ -151,14 +135,14 @@ def monomial_rank(exponents):
         raise ValueError("exponents must be nonnegative")
     positive = sorted(e for e in exponents if e > 0)
     if not positive:
-        raise AllZero("constant monomials have no Waring rank")
+        raise ValueError("constant monomials have no Waring rank")
     return prod(e + 1 for e in positive) // (positive[0] + 1)
 
 
 def quadratic_rank(form):
     """Waring rank of a quadratic form: the rank of Cat_1, twice its symmetric matrix."""
     if form.degree != 2:
-        raise DegreeOutOfRange("quadratic form required")
+        raise ValueError("quadratic form required")
     return mat_rank(catalecticant(form, 1).matrix)
 
 
@@ -170,7 +154,7 @@ def decompose_check(form, points):
     of coefficients, or None when no exact combination exists.
     """
     if form.is_zero():
-        raise ZeroPolynomial("decomposition of the zero form")
+        raise ValueError("decomposition of the zero form")
     if not points:
         raise ValueError("decomposition needs at least one point")
     seen = []
@@ -179,7 +163,7 @@ def decompose_check(form, points):
             raise ValueError("point length %d != %d variables" % (len(pt), form.num_vars))
         canon = canonical_point(pt)
         if canon in seen:
-            raise DuplicatePoints("points must be pairwise distinct up to scale")
+            raise ValueError("points must be pairwise distinct up to scale")
         seen.append(canon)
     d = form.degree
     check_entries(monomial_count(form.num_vars, d) * len(points), "decomposition system")

@@ -24,20 +24,27 @@ from .seeding import TRIALS, random_coefficients, trial_rng
 # fixtures, secant and tensor are imported by the commands that use them, so
 # the other commands neither compile nor run them
 
-# Every apolar input error and json.JSONDecodeError subclass ValueError.
+# Every apolar input error is a ValueError, as is json.JSONDecodeError.
 _INPUT_ERRORS = (ValueError, OSError)
 
 
 def _leaf_flags():
-    """Parent parsers for leaf commands: every command's flags, and those plus
-    `--arithmetic`, which only `secant-dim` and `paper-fixtures` honour."""
+    """Parent parsers for leaf commands: `--seed` and `--output`, which every
+    command takes; those plus `--arithmetic`, which only `secant-dim` and
+    `paper-fixtures` honour; those plus the `--form` and `--vars` of the form
+    commands; and those plus the `--file` of the tensor commands that read one."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     common.add_argument("--output", choices=["text", "json"], default="text")
     arithmetic = argparse.ArgumentParser(add_help=False, parents=[common])
     arithmetic.add_argument("--arithmetic", choices=["exact", "modular"], default="exact",
                             help="exact rational arithmetic or modular lower-bound mode")
-    return common, arithmetic
+    form = argparse.ArgumentParser(add_help=False, parents=[common])
+    form.add_argument("--form", required=True)
+    form.add_argument("--vars", type=int)
+    tensor_file = argparse.ArgumentParser(add_help=False, parents=[common])
+    tensor_file.add_argument("--file", default="-")
+    return common, arithmetic, form, tensor_file
 
 
 class _BeforeSubcommand(argparse.Action):
@@ -58,7 +65,7 @@ def _reject_before_subcommand(parser, arithmetic=False):
 
 
 def build_parser():
-    common, arithmetic = _leaf_flags()
+    common, arithmetic, form, tensor_file = _leaf_flags()
     parser = argparse.ArgumentParser(
         prog="apolar",
         description="Exact Waring ranks, apolar ideals, catalecticants, "
@@ -75,13 +82,9 @@ def build_parser():
     q.add_argument("--form", required=True)
     q = rank_sub.add_parser("monomial", parents=[common])
     q.add_argument("--exponents", required=True, help="comma-separated, e.g. 1,1,1")
-    q = rank_sub.add_parser("quadratic", parents=[common])
-    q.add_argument("--form", required=True)
-    q.add_argument("--vars", type=int)
+    rank_sub.add_parser("quadratic", parents=[form])
 
-    p = sub.add_parser("perp", parents=[common], help="graded piece of the annihilator")
-    p.add_argument("--form", required=True)
-    p.add_argument("--vars", type=int)
+    p = sub.add_parser("perp", parents=[form], help="graded piece of the annihilator")
     p.add_argument("--t", type=int, required=True)
 
     p = sub.add_parser("hilbert", parents=[common], help="Hilbert function of T/F-perp")
@@ -90,15 +93,11 @@ def build_parser():
     p.add_argument("--generic", nargs=2, type=int, metavar=("N", "D"),
                    help="use a seed-generated generic form on P^N of degree D")
 
-    p = sub.add_parser("catalecticant", parents=[common], help="matrix of the degree-t pairing")
-    p.add_argument("--form", required=True)
-    p.add_argument("--vars", type=int)
+    p = sub.add_parser("catalecticant", parents=[form], help="matrix of the degree-t pairing")
     p.add_argument("--t", type=int, required=True)
 
-    p = sub.add_parser("decompose-check", parents=[common],
+    p = sub.add_parser("decompose-check", parents=[form],
                        help="fit form as a combination of powers at given points")
-    p.add_argument("--form", required=True)
-    p.add_argument("--vars", type=int)
     p.add_argument("--points", required=True,
                    help="semicolon-separated points, e.g. '1,1;-1,1;0,1'")
 
@@ -120,18 +119,14 @@ def build_parser():
     p = sub.add_parser("tensor", help="tensor computations")
     _reject_before_subcommand(p)
     t_sub = p.add_subparsers(dest="action", required=True)
-    q = t_sub.add_parser("flatten", parents=[common])
-    q.add_argument("--file", default="-")
+    q = t_sub.add_parser("flatten", parents=[tensor_file])
     q.add_argument("--modes", required=True, help="1-based left modes, e.g. 1,2")
-    q = t_sub.add_parser("mlrank", parents=[common])
-    q.add_argument("--file", default="-")
-    q = t_sub.add_parser("strassen", parents=[common])
-    q.add_argument("--file", default="-")
+    t_sub.add_parser("mlrank", parents=[tensor_file])
+    t_sub.add_parser("strassen", parents=[tensor_file])
     t_sub.add_parser("strassen-expand", parents=[common])
     q = t_sub.add_parser("matmul", parents=[common])
     q.add_argument("--n", type=int, required=True)
-    q = t_sub.add_parser("minors", parents=[common])
-    q.add_argument("--file", default="-")
+    q = t_sub.add_parser("minors", parents=[tensor_file])
     q.add_argument("--r", type=int, required=True)
 
     p = sub.add_parser("paper-fixtures", parents=[arithmetic],
@@ -195,8 +190,7 @@ def _read_tensor(path):
     return tensor_from_json(obj)
 
 
-def _dim_report_result(report):
-    from .secant import MODULAR
+def _dim_report_result(args, report):
     return {
         "variety": report.spec.describe(),
         "computed_dim": report.computed_dim,
@@ -204,7 +198,7 @@ def _dim_report_result(report):
         "defect": report.defect,
         "ambient_dim": report.spec.ambient_dim,
         "variety_dim": report.spec.variety_dim,
-        "probabilistic_lower_bound": report.arithmetic_mode == MODULAR,
+        "probabilistic_lower_bound": args.arithmetic == "modular",
     }
 
 
@@ -290,7 +284,7 @@ def _cmd_secant_dim(args):
         report = secant.terracini_dim_segre(
             dims, args.s, seed=args.seed, arithmetic=args.arithmetic)
         inputs = {"variety": "segre", "dims": list(dims), "s": args.s}
-    return _envelope(args, "secant-dim", inputs, _dim_report_result(report),
+    return _envelope(args, "secant-dim", inputs, _dim_report_result(args, report),
                      certified=report.certified)
 
 

@@ -7,6 +7,7 @@ on a fresh derived seed before declaring failure, and reports both
 outcomes.
 """
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -17,7 +18,7 @@ from .apolarity import (catalecticant, decompose_check, hilbert_function,
 from .linalg import QMatrix, mat_det, mat_kernel, mat_rank, solve_linear
 from .poly import (HomogPoly, apolar_apply, monomial_basis, monomial_count,
                    parse_poly, power_linear)
-from .seeding import derive_seed, random_coefficients, trial_rng
+from .seeding import derive_seed, random_coefficients
 from .tensor import (DenseTensor, gss_minor_test, matmul_tensor,
                      multilinear_rank, strassen_det_symbolic, strassen_matrix)
 
@@ -42,7 +43,7 @@ class FixtureContext:
         return derive_seed(self.seed ^ (0xF1D0 + salt), self.attempt)
 
     def rng(self, salt):
-        return trial_rng(self.seed ^ (0xF1D0 + salt), self.attempt)
+        return random.Random(self.seed_for(salt))
 
     def generic_form(self, salt, num_vars, degree):
         coeffs = random_coefficients(self.rng(salt), monomial_count(num_vars, degree))

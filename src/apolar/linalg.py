@@ -14,6 +14,7 @@ the GF(p) rank meets that bound it is the exact rank, with a proof and no
 probability; otherwise Bareiss, the only elimination over Q, decides.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -23,10 +24,6 @@ from . import modular
 # Largest matrix (or coefficient vector) any command may build.  The
 # biggest in the benchmark workloads is 495 x 495 = 245,025 entries.
 MAX_ENTRIES = 10 ** 6
-
-
-class NonSquareError(ValueError):
-    pass
 
 
 def check_entries(count, what):
@@ -40,16 +37,16 @@ def check_entries(count, what):
                          % (what, count, MAX_ENTRIES))
 
 
-class QMatrix:
+class QMatrix(namedtuple("QMatrix", "rows cols entries")):
     """Dense row-major matrix of ints and Fractions."""
 
-    def __init__(self, rows, cols, entries):
+    __slots__ = ()
+
+    def __new__(cls, rows, cols, entries):
         entries = list(entries)
         if len(entries) != rows * cols:
             raise ValueError("entries length %d != %d x %d" % (len(entries), rows, cols))
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        return super().__new__(cls, rows, cols, entries)
 
     @classmethod
     def from_rows(cls, row_lists):
@@ -67,13 +64,6 @@ class QMatrix:
 
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def __eq__(self, other):
-        return (isinstance(other, QMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __repr__(self):
-        return "QMatrix(%d x %d)" % (self.rows, self.cols)
 
 
 def _integer_rows(matrix):
@@ -172,9 +162,9 @@ def rank_int_rows(rows_of_ints, bound=None):
 
 
 def mat_det(matrix):
-    """Exact determinant; raises NonSquareError for non-square input."""
+    """Exact determinant; raises ValueError for non-square input."""
     if matrix.rows != matrix.cols:
-        raise NonSquareError("determinant of %d x %d matrix" % (matrix.rows, matrix.cols))
+        raise ValueError("determinant of %d x %d matrix" % (matrix.rows, matrix.cols))
     if matrix.rows == 0:
         return Fraction(1)
     int_rows, scales = _integer_rows(matrix)

@@ -23,14 +23,6 @@ MAX_VARS = 16
 MAX_DEGREE = 64
 
 
-class ParseError(ValueError):
-    pass
-
-
-class NotHomogeneous(ValueError):
-    pass
-
-
 def _sub_exponents(gamma, t):
     """(beta, gamma - beta) for each beta <= gamma of degree t, beta in
     graded-lex order with x0 largest."""
@@ -81,9 +73,9 @@ class HomogPoly:
         self.terms = clean
 
     @classmethod
-    def monomial(cls, exponents, coeff=1):
+    def monomial(cls, exponents):
         exponents = tuple(exponents)
-        return cls(len(exponents), sum(exponents), {exponents: Fraction(coeff)})
+        return cls(len(exponents), sum(exponents), {exponents: 1})
 
     @classmethod
     def from_coeff_vector(cls, num_vars, degree, vector):
@@ -105,9 +97,6 @@ class HomogPoly:
     def __eq__(self, other):
         return (isinstance(other, HomogPoly) and self.num_vars == other.num_vars
                 and self.terms == other.terms)
-
-    def __repr__(self):
-        return "HomogPoly(%s)" % render_poly(self)
 
 
 def render_poly(poly, var="x"):
@@ -141,7 +130,7 @@ def _check_digits(count):
     """Reject a number of more digits than int() converts, in this program's words."""
     limit = sys.get_int_max_str_digits()
     if limit and count > limit:
-        raise ParseError("the input has a number of more than %d digits, too long to read"
+        raise ValueError("the input has a number of more than %d digits, too long to read"
                          % limit)
 
 
@@ -151,7 +140,7 @@ def parse_int(text):
     try:
         return int(text)
     except ValueError:
-        raise ParseError("expected an integer, got %r" % text) from None
+        raise ValueError("expected an integer, got %r" % text) from None
 
 
 def _tokenize(text):
@@ -163,7 +152,7 @@ def _tokenize(text):
             continue
         m = _TOKEN.match(text, pos)
         if not m:
-            raise ParseError("unexpected character %r at position %d" % (text[pos], pos))
+            raise ValueError("unexpected character %r at position %d" % (text[pos], pos))
         tokens.append(m.group(m.lastindex))
         _check_digits(len(tokens[-1].lstrip("x")))
         pos = m.end()
@@ -195,7 +184,7 @@ class _Parser:
         while self.peek() is not None:
             tok = self.take()
             if tok not in ("+", "-"):
-                raise ParseError("expected + or - between terms, got %r" % tok)
+                raise ValueError("expected + or - between terms, got %r" % tok)
             terms.append(self.term(-1 if tok == "-" else 1))
         return terms
 
@@ -205,19 +194,19 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok is None:
-                raise ParseError("unexpected end of input")
+                raise ValueError("unexpected end of input")
             if tok.startswith("x"):
                 self.take()
                 idx = int(tok[1:])
                 if idx >= self.num_vars:
-                    raise ParseError("variable %s out of range for %d variables"
+                    raise ValueError("variable %s out of range for %d variables"
                                      % (tok, self.num_vars))
                 power = 1
                 if self.peek() == "^":
                     self.take()
                     p = self.take()
                     if p is None or not p.isdigit():
-                        raise ParseError("expected integer exponent")
+                        raise ValueError("expected integer exponent")
                     power = int(p)
                 exponents[idx] += power
             elif tok.isdigit():
@@ -227,12 +216,12 @@ class _Parser:
                     self.take()
                     den = self.take()
                     if den is None or not den.isdigit() or int(den) == 0:
-                        raise ParseError("expected nonzero integer denominator")
+                        raise ValueError("expected nonzero integer denominator")
                     coeff *= Fraction(num, int(den))
                 else:
                     coeff *= num
             else:
-                raise ParseError("expected coefficient or variable, got %r" % tok)
+                raise ValueError("expected coefficient or variable, got %r" % tok)
             if self.peek() == "*":
                 self.take()
                 continue
@@ -242,17 +231,17 @@ class _Parser:
 def parse_poly(text, num_vars):
     """Parse the textual grammar into a HomogPoly; rejects mixed degrees."""
     if num_vars < 1 or num_vars > MAX_VARS:
-        raise ParseError("number of variables must be in [1, %d]" % MAX_VARS)
+        raise ValueError("number of variables must be in [1, %d]" % MAX_VARS)
     tokens = _tokenize(text)
     if not tokens:
-        raise ParseError("empty input")
+        raise ValueError("empty input")
     raw_terms = _Parser(tokens, num_vars).parse()
     degrees = {sum(m) for c, m in raw_terms if c != 0}
     if len(degrees) > 1:
-        raise NotHomogeneous("mixed degrees %s" % sorted(degrees))
+        raise ValueError("mixed degrees %s" % sorted(degrees))
     degree = degrees.pop() if degrees else 0
     if degree > MAX_DEGREE:
-        raise ParseError("degree %d exceeds limit %d" % (degree, MAX_DEGREE))
+        raise ValueError("degree %d exceeds limit %d" % (degree, MAX_DEGREE))
     terms = {}
     for coeff, mono in raw_terms:
         if coeff == 0:

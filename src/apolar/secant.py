@@ -138,8 +138,7 @@ class Segre(_MonomialMap, namedtuple("Segre", "dims")):
         return {"kind": "segre", "dims": list(self.dims)}
 
 
-DimReport = namedtuple("DimReport", "spec computed_dim expected_dim defect "
-                       "arithmetic_mode certified")
+DimReport = namedtuple("DimReport", "spec computed_dim expected_dim defect certified")
 
 
 def expected_dim(spec, s):
@@ -180,8 +179,7 @@ def defect_report(spec, s, seed=0, arithmetic=EXACT):
         if best == upper:
             break
     return DimReport(spec=spec, computed_dim=best, expected_dim=expected,
-                     defect=expected - best, arithmetic_mode=arithmetic,
-                     certified=best == upper)
+                     defect=expected - best, certified=best == upper)
 
 
 def terracini_dim_veronese(n, d, s, seed=0, arithmetic=EXACT):

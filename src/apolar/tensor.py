@@ -18,7 +18,6 @@ most 4.
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import prod
 
@@ -26,28 +25,19 @@ from .linalg import QMatrix, check_entries, mat_rank
 from .poly import format_rational, parse_int
 
 
-class InvalidModeSet(ValueError):
-    pass
-
-
-class WrongShape(ValueError):
-    pass
-
-
-class DenseTensor:
+class DenseTensor(namedtuple("DenseTensor", "shape entries")):
     """Dense tensor over Fractions; shape is a tuple of positive extents."""
 
-    __slots__ = ("shape", "entries")
+    __slots__ = ()
 
-    def __init__(self, shape, entries):
+    def __new__(cls, shape, entries):
         shape = tuple(int(d) for d in shape)
         if any(d < 1 for d in shape):
-            raise WrongShape("extents must be positive")
+            raise ValueError("extents must be positive")
         entries = [Fraction(e) for e in entries]
         if len(entries) != prod(shape):
-            raise WrongShape("expected %d entries, got %d" % (prod(shape), len(entries)))
-        self.shape = shape
-        self.entries = entries
+            raise ValueError("expected %d entries, got %d" % (prod(shape), len(entries)))
+        return super().__new__(cls, shape, entries)
 
     @classmethod
     def rank_one(cls, factors, coeff=1):
@@ -61,15 +51,8 @@ class DenseTensor:
 
     def __add__(self, other):
         if self.shape != other.shape:
-            raise WrongShape("shape mismatch")
+            raise ValueError("shape mismatch")
         return DenseTensor(self.shape, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __eq__(self, other):
-        return (isinstance(other, DenseTensor) and self.shape == other.shape
-                and self.entries == other.entries)
-
-    def __repr__(self):
-        return "DenseTensor(shape=%r)" % (self.shape,)
 
 
 def flatten(tensor, left_modes):
@@ -78,7 +61,7 @@ def flatten(tensor, left_modes):
     order = len(shape)
     left = sorted(set(left_modes))
     if not left or any(m < 1 or m > order for m in left) or len(left) >= order:
-        raise InvalidModeSet("left modes must be a nonempty proper subset of 1..%d" % order)
+        raise ValueError("left modes must be a nonempty proper subset of 1..%d" % order)
     # steps[m]: the flat offsets i * stride of the indices i of mode m (1-based)
     steps = {m: range(0, prod(shape[m - 1:]), prod(shape[m:])) for m in range(1, order + 1)}
     rows = [sum(index) for index in product(*(steps[m] for m in left))]
@@ -90,7 +73,7 @@ def flatten(tensor, left_modes):
 def multilinear_rank(tensor):
     """Ranks of the single-mode flattenings, one per mode."""
     if len(tensor.shape) < 2:
-        raise WrongShape("multilinear rank needs order at least 2")
+        raise ValueError("multilinear rank needs order at least 2")
     return tuple(mat_rank(flatten(tensor, [m])) for m in range(1, len(tensor.shape) + 1))
 
 
@@ -148,7 +131,7 @@ def strassen_matrix(tensor):
     """The 9x9 antisymmetric block pencil of a 3x3x3 tensor's slices, as a
     QMatrix; its rank and determinant come from mat_rank and mat_det."""
     if tensor.shape != (3, 3, 3):
-        raise WrongShape("3x3x3 tensor required, got %r" % (tensor.shape,))
+        raise ValueError("3x3x3 tensor required, got %r" % (tensor.shape,))
     rows = [[Fraction(0) if cell is None else cell[0] * tensor.entries[cell[1]]
              for cell in row] for row in _pencil_structure()]
     return QMatrix.from_rows(rows)
@@ -160,9 +143,8 @@ def strassen_matrix(tensor):
 SymbolicDet = namedtuple("SymbolicDet", "terms term_count total_degree")
 
 
-@cache
 def strassen_det_symbolic():
-    """Expand the generic pencil determinant once; cached afterwards.
+    """Expand the generic pencil determinant.
 
     Cofactor expansion row by row; minors are memoized on the surviving
     column set, and every block of structural zeros prunes the recursion.

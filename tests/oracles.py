@@ -15,7 +15,6 @@ by entry at full multi-indices, independently of the strided offsets that
 from fractions import Fraction
 from itertools import product
 
-from apolar.linalg import NonSquareError
 from apolar.poly import HomogPoly
 from apolar.tensor import DenseTensor
 
@@ -110,7 +109,7 @@ def solve_fraction_gauss(matrix, rhs):
 def det_fraction_gauss(matrix):
     """Determinant by naive rational elimination (cross-check route)."""
     if matrix.rows != matrix.cols:
-        raise NonSquareError("determinant of %d x %d matrix" % (matrix.rows, matrix.cols))
+        raise ValueError("determinant of %d x %d matrix" % (matrix.rows, matrix.cols))
     n = matrix.rows
     work = _row_lists(matrix)
     det = Fraction(1)

@@ -10,8 +10,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from apolar.apolarity import (AllZero, DegreeOutOfRange, DuplicatePoints,
-                              RankCertificate, ZeroPolynomial, catalecticant,
+from apolar.apolarity import (RankCertificate, catalecticant,
                               decompose_check, hilbert_function,
                               is_square_free_binary, monomial_rank, perp_piece,
                               quadratic_rank, sylvester_rank)
@@ -45,7 +44,7 @@ def substitute_binary(form, a, b, c, d):
     """Compose with x0 -> a x0 + b x1, x1 -> c x0 + d x1 (ad - bc != 0)."""
     out = {}
     for (i, j), coeff in form.terms.items():
-        term = HomogPoly.monomial((0, 0), coeff)
+        term = HomogPoly(2, 0, {(0, 0): coeff})
         if i:
             term = poly_product(term, power_linear([a, b], i))
         if j:
@@ -96,7 +95,7 @@ def test_catalecticant_equals_repeated_partials(case):
 
 def test_catalecticant_t_out_of_range():
     form = parse_poly("x0^2", 2)
-    with pytest.raises(DegreeOutOfRange):
+    with pytest.raises(ValueError, match=r"^t = 3 outside \[0, 2\]$"):
         catalecticant(form, 3)
 
 
@@ -173,7 +172,7 @@ def test_hilbert_tables():
 
 
 def test_hilbert_zero_rejected():
-    with pytest.raises(ZeroPolynomial):
+    with pytest.raises(ValueError, match="^Hilbert function needs a nonzero form$"):
         hilbert_function(HomogPoly(2, 3, {}))
 
 
@@ -323,7 +322,7 @@ def test_monomial_rank():
     assert monomial_rank([7]) == 1
     assert monomial_rank([1, 1, 1]) == 4
     assert monomial_rank([0, 2, 0, 3]) == monomial_rank([2, 3]) == 4
-    with pytest.raises(AllZero):
+    with pytest.raises(ValueError, match="^constant monomials have no Waring rank$"):
         monomial_rank([0, 0])
     with pytest.raises(ValueError, match="nonnegative"):
         monomial_rank([-1, -2])
@@ -363,7 +362,7 @@ def test_quadratic_rank():
                 [[form.coeff([int(k == i) + int(k == j) for k in range(4)])
                   * (1 if i == j else Fraction(1, 2)) for j in range(4)] for i in range(4)]))
             assert quadratic_rank(form) == want <= r
-    with pytest.raises(DegreeOutOfRange):
+    with pytest.raises(ValueError, match="^quadratic form required$"):
         quadratic_rank(parse_poly("x0^3", 2))
 
 
@@ -387,7 +386,7 @@ def test_decompose_check_infeasible_pairs():
 def test_decompose_check_pure_power_and_errors():
     f = power_linear([2, 5], 4)
     assert decompose_check(f, [[2, 5]]) == [Fraction(1)]
-    with pytest.raises(DuplicatePoints):
+    with pytest.raises(ValueError, match="^points must be pairwise distinct up to scale$"):
         decompose_check(f, [[1, 1], [2, 2]])
     with pytest.raises(ValueError, match="at least one point"):
         decompose_check(f, [])

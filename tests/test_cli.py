@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import string
 import subprocess
 import sys
@@ -400,6 +401,42 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["rank", "binary"])  # missing --form
     assert exc.value.code == 2
+
+
+# every leaf command and its options in declaration order: the shared flags
+# first, then the shared form or tensor-file flags, then the command's own
+_LEAF_OPTIONS = {
+    "rank binary": "--seed --output --form",
+    "rank monomial": "--seed --output --exponents",
+    "rank quadratic": "--seed --output --form --vars",
+    "perp": "--seed --output --form --vars --t",
+    "hilbert": "--seed --output --form --vars --generic",
+    "catalecticant": "--seed --output --form --vars --t",
+    "decompose-check": "--seed --output --form --vars --points",
+    "secant-dim veronese": "--seed --output --arithmetic --n --d --s",
+    "secant-dim segre": "--seed --output --arithmetic --dims --s",
+    "ah-g": "--seed --output --n --d",
+    "tensor flatten": "--seed --output --file --modes",
+    "tensor mlrank": "--seed --output --file",
+    "tensor strassen": "--seed --output --file",
+    "tensor strassen-expand": "--seed --output",
+    "tensor matmul": "--seed --output --n",
+    "tensor minors": "--seed --output --file --r",
+    "paper-fixtures": "--seed --output --arithmetic --list",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LEAF_OPTIONS))
+def test_leaf_help_lists_options_in_order(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command.split() + ["--help"])
+    assert exc.value.code == 0
+    # the order of first mention, not the layout, which varies across Pythons
+    seen = []
+    for option in re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out):
+        if option not in seen and option != "--help":
+            seen.append(option)
+    assert seen == _LEAF_OPTIONS[command].split()
 
 
 _EARLY_OR_UNHONOURED_FLAGS = [

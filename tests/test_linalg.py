@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apolar import linalg, modular
-from apolar.linalg import (NonSquareError, QMatrix, mat_det, mat_kernel,
-                           mat_rank, rank_int_rows, solve_linear)
+from apolar.linalg import (QMatrix, mat_det, mat_kernel, mat_rank, rank_int_rows,
+                           solve_linear)
 from oracles import (det_fraction_gauss, kernel_fraction_gauss,
                      rank_fraction_gauss, solve_fraction_gauss)
 
@@ -25,6 +25,18 @@ def identity(n):
 
 def zero(rows, cols):
     return QMatrix.from_rows([[0] * cols for _ in range(rows)])
+
+
+def test_qmatrix_is_a_checked_record():
+    m = QMatrix.from_rows([[1, 2], [3, Fraction(1, 2)]])
+    assert (m.rows, m.cols, m.entries) == (2, 2, [1, 2, 3, Fraction(1, 2)])
+    assert m == QMatrix(2, 2, [1, 2, 3, Fraction(1, 2)])
+    assert m != QMatrix(2, 2, [1, 2, 3, 4])
+    assert QMatrix(1, 2, [1, 2]) != QMatrix(2, 1, [1, 2])
+    with pytest.raises(ValueError, match="^entries length 3 != 2 x 2$"):
+        QMatrix(2, 2, [1, 2, 3])
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        QMatrix.from_rows([[1, 2], [3]])
 
 
 def test_rational_scalars_stay_reduced():
@@ -56,7 +68,7 @@ def test_two_by_two_det():
 
 
 def test_det_requires_square():
-    with pytest.raises(NonSquareError):
+    with pytest.raises(ValueError, match="^determinant of 2 x 3 matrix$"):
         mat_det(zero(2, 3))
 
 

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apolar.linalg import mat_det, mat_rank
-from apolar.tensor import (DenseTensor, InvalidModeSet, WrongShape, flatten,
-                           format_rational, gss_minor_test, matmul_tensor,
+from apolar.tensor import (DenseTensor, flatten, format_rational, gss_minor_test, matmul_tensor,
                            multilinear_rank, parse_rational,
                            strassen_det_symbolic, strassen_matrix,
                            tensor_from_json, tensor_to_json)
@@ -27,6 +26,20 @@ def rand_sum(rng, shape, r):
     for _ in range(r - 1):
         total = total + rand_rank_one(rng, shape)
     return total
+
+
+def test_dense_tensor_is_a_checked_record():
+    t = DenseTensor([2, 2], [1, "1/2", 0.5, Fraction(3)])
+    assert t.shape == (2, 2)
+    assert t.entries == [Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(3)]
+    assert all(type(e) is Fraction for e in t.entries)
+    assert t == DenseTensor((2, 2), [1, Fraction(1, 2), Fraction(1, 2), 3])
+    assert t != DenseTensor((4,), t.entries)
+    assert t + t == DenseTensor((2, 2), [2, 1, 1, 6])
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        t + DenseTensor((4,), t.entries)
+    with pytest.raises(ValueError, match="^extents must be positive$"):
+        DenseTensor((2, 0), [])
 
 
 def test_rank_one_flattenings():
@@ -59,11 +72,12 @@ def test_flatten_layout_and_transpose_rank():
 
 def test_flatten_mode_validation():
     t = DenseTensor((2, 2, 2), [0] * 8)
-    with pytest.raises(InvalidModeSet):
+    message = r"^left modes must be a nonempty proper subset of 1\.\.3$"
+    with pytest.raises(ValueError, match=message):
         flatten(t, [])
-    with pytest.raises(InvalidModeSet):
+    with pytest.raises(ValueError, match=message):
         flatten(t, [1, 2, 3])
-    with pytest.raises(InvalidModeSet):
+    with pytest.raises(ValueError, match=message):
         flatten(t, [4])
 
 
@@ -218,7 +232,7 @@ def test_pencil_det_rank_four_vs_five():
 
 
 def test_pencil_requires_cube():
-    with pytest.raises(WrongShape):
+    with pytest.raises(ValueError, match=r"^3x3x3 tensor required, got \(2, 3, 3\)$"):
         strassen_matrix(DenseTensor((2, 3, 3), [0] * 18))
 
 
@@ -272,7 +286,7 @@ def test_json_errors_and_rationals():
         tensor_from_json({"shape": [2]})
     with pytest.raises(ValueError):
         tensor_from_json({"shape": [2], "entries": [1.5, 2]})
-    with pytest.raises(WrongShape):
+    with pytest.raises(ValueError, match="^expected 4 entries, got 3$"):
         DenseTensor((2, 2), [1, 2, 3])
     assert parse_rational("7/2") == Fraction(7, 2)
     assert format_rational(Fraction(4, 2)) == 2
