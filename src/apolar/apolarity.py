@@ -11,8 +11,7 @@ t = 2 starts 12a, 3b, 3c, 2d, e, 2f in its first row).
 from collections import namedtuple
 from math import prod
 
-from .linalg import (QMatrix, check_entries, mat_det, mat_kernel, mat_rank,
-                     solve_linear)
+from .linalg import QMatrix, check_entries, mat_kernel, mat_rank, solve_linear
 from .poly import (HomogPoly, canonical_point, monomial_basis, monomial_count,
                    monomial_derivatives, monomial_index, power_linear)
 
@@ -83,13 +82,14 @@ def hilbert_function(form):
 
 
 def is_square_free_binary(binary_form):
-    """Square-freeness of a binary form g via the resultant of its partials.
+    """Square-freeness of a binary form g, from the rank of one matrix.
 
     By Euler's identity deg(g) * g = x0 * g_x0 + x1 * g_x1, a repeated factor
     of g is exactly a common factor of g_x0 and g_x1 over Q, so g is
-    square-free iff the determinant of their (2d-2) x (2d-2) Sylvester matrix
-    is nonzero.  A root at [1:0] needs no special case; the zero form is not
-    square-free, and forms of degree 0 and 1 are.
+    square-free iff their (2d-2) x (2d-2) Sylvester matrix has full rank, and
+    a full rank mod p proves it (only a matrix singular mod p goes to Bareiss).
+    A root at [1:0] needs no special case; the zero form is not square-free,
+    and forms of degree 0 and 1 are.
     """
     if binary_form.is_zero():
         return False
@@ -99,29 +99,28 @@ def is_square_free_binary(binary_form):
     cat = catalecticant(binary_form, 1).matrix          # columns: the two partials
     partials = [[cat.at(i, j) for i in range(m + 1)] for j in (0, 1)]
     rows = [[0] * k + p + [0] * (m - 1 - k) for p in partials for k in range(m)]
-    return mat_det(QMatrix.from_rows(rows)) != 0
+    return mat_rank(QMatrix.from_rows(rows)) == 2 * m
 
 
 def sylvester_rank(binary_form):
     """Waring rank of a binary form, with the deciding operator as witness.
 
-    The annihilator of a nonzero binary form is generated in two degrees
-    d1 <= d2 with d1 + d2 = d + 2.  The rank is d1 when the minimal
-    generator is square-free and d2 otherwise.
+    The annihilator of a nonzero binary form of degree d is generated in two
+    degrees d1 <= d2 with d1 + d2 = d + 2, so HF(t) = min(t + 1, d1) for
+    t < d2: d1 is HF(d // 2), the rank of the middle catalecticant, and the
+    first kernel vector in degree d1 is a minimal generator.  The rank is d1
+    when it is square-free and d2 otherwise.
     """
     if binary_form.num_vars != 2:
         raise ValueError("binary form required")
     if binary_form.is_zero():
         raise ValueError("rank of the zero form is undefined")
     d = binary_form.degree
-    for t in range(1, d + 2):
-        basis = perp_piece(binary_form, t)
-        if basis:
-            witness = basis[0]
-            if is_square_free_binary(witness):
-                return RankCertificate(t, witness, RankCertificate.SQUARE_FREE_AT_D1)
-            return RankCertificate(d + 2 - t, witness, RankCertificate.FELL_THROUGH_TO_D2)
-    raise AssertionError("annihilator of a degree-%d form has a generator by degree d+1" % d)
+    d1 = mat_rank(catalecticant(binary_form, d // 2).matrix)
+    witness = perp_piece(binary_form, d1)[0]
+    if is_square_free_binary(witness):
+        return RankCertificate(d1, witness, RankCertificate.SQUARE_FREE_AT_D1)
+    return RankCertificate(d + 2 - d1, witness, RankCertificate.FELL_THROUGH_TO_D2)
 
 
 def monomial_rank(exponents):

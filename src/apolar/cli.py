@@ -229,7 +229,7 @@ def _cmd_perp(args):
 
 def _cmd_hilbert(args):
     if args.generic:
-        if args.form:
+        if args.form is not None:
             raise ValueError("--form and --generic are mutually exclusive")
         if args.vars is not None:
             raise ValueError("--vars and --generic are mutually exclusive")
@@ -240,7 +240,7 @@ def _cmd_hilbert(args):
         check_entries(monomial_count(n + 1, d), "generic form")
         coeffs = random_coefficients(trial_rng(args.seed, 0), monomial_count(n + 1, d))
         form = HomogPoly.from_coeff_vector(n + 1, d, coeffs)
-    elif args.form:
+    elif args.form is not None:
         form = _parse_form(args)
     else:
         raise ValueError("hilbert needs --form or --generic")

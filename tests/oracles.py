@@ -9,12 +9,16 @@ term by term.  The
 Segre tangent route builds rank-one tensors, independently of the Jacobian
 that `apolar.secant` evaluates.  The flattening route reads a tensor entry
 by entry at full multi-indices, independently of the strided offsets that
-`apolar.tensor.flatten` sums.
+`apolar.tensor.flatten` sums.  The Sylvester route searches the annihilator
+degree by degree and tests square-freeness by a resultant's value,
+independently of the two ranks that `apolar.apolarity.sylvester_rank` asks.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from apolar.apolarity import RankCertificate, catalecticant, perp_piece
+from apolar.linalg import QMatrix, mat_det
 from apolar.poly import HomogPoly
 from apolar.tensor import DenseTensor
 
@@ -235,3 +239,32 @@ def flatten_by_multi_index(tensor, left_modes):
                 full[m] = k
             entries.append(tensor.entries[flat_position(shape, full)])
     return len(row_idx), len(col_idx), entries
+
+
+def square_free_by_resultant(binary_form):
+    """Square-freeness of a binary form: the resultant of its two partials,
+    the determinant of their Sylvester matrix, is nonzero."""
+    if binary_form.is_zero():
+        return False
+    m = binary_form.degree - 1
+    if m < 1:
+        return True
+    cat = catalecticant(binary_form, 1).matrix
+    partials = [[cat.at(i, j) for i in range(m + 1)] for j in (0, 1)]
+    rows = [[0] * k + p + [0] * (m - 1 - k) for p in partials for k in range(m)]
+    return mat_det(QMatrix.from_rows(rows)) != 0
+
+
+def sylvester_rank_by_kernels(binary_form):
+    """RankCertificate of a nonzero binary form from the first degree t = 1, 2, ...
+    whose annihilator piece is nonempty: its first basis vector is the witness,
+    and the rank is t when that is square-free, d + 2 - t otherwise."""
+    d = binary_form.degree
+    for t in range(1, d + 2):
+        basis = perp_piece(binary_form, t)
+        if basis:
+            witness = basis[0]
+            if square_free_by_resultant(witness):
+                return RankCertificate(t, witness, RankCertificate.SQUARE_FREE_AT_D1)
+            return RankCertificate(d + 2 - t, witness, RankCertificate.FELL_THROUGH_TO_D2)
+    raise AssertionError("annihilator of a degree-%d form has a generator by degree d+1" % d)

@@ -8,8 +8,9 @@ from math import factorial
 
 import pytest
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from apolar import linalg
 from apolar.apolarity import (RankCertificate, catalecticant,
                               decompose_check, hilbert_function,
                               is_square_free_binary, monomial_rank, perp_piece,
@@ -17,7 +18,8 @@ from apolar.apolarity import (RankCertificate, catalecticant,
 from apolar.linalg import QMatrix, mat_rank
 from apolar.poly import (HomogPoly, apolar_apply, monomial_basis, parse_poly,
                          power_linear)
-from oracles import catalecticant_by_partials, poly_product, rank_fraction_gauss
+from oracles import (catalecticant_by_partials, poly_product, rank_fraction_gauss,
+                     sylvester_rank_by_kernels)
 
 
 def rand_form(rng, num_vars, degree, bound=9):
@@ -51,6 +53,26 @@ def substitute_binary(form, a, b, c, d):
             term = poly_product(term, power_linear([c, d], j))
         add_terms(out, term.terms)
     return HomogPoly(2, form.degree, out)
+
+
+def count_bareiss(monkeypatch):
+    """List that gets the (rows, columns) of each linalg._bareiss call."""
+    calls = []
+    bareiss = linalg._bareiss
+
+    def counting(int_rows, cols):
+        calls.append((len(int_rows), cols))
+        return bareiss(int_rows, cols)
+
+    monkeypatch.setattr(linalg, "_bareiss", counting)
+    return calls
+
+
+def seeded_binary_form(degree, seed):
+    """Binary form with coefficients randint(-999, 999) on x0^(degree - k) x1^k."""
+    rng = random.Random(seed)
+    return HomogPoly(2, degree, {(degree - k, k): rng.randint(-999, 999)
+                                 for k in range(degree + 1)})
 
 
 def test_catalecticant_of_pure_power():
@@ -226,7 +248,7 @@ def test_catalecticant_transpose_duality():
                     == mat_rank(catalecticant(f, d - t).matrix))
 
 
-def test_square_free_binary():
+def test_square_free_binary(monkeypatch):
     assert is_square_free_binary(parse_poly("x0*x1", 2))
     assert not is_square_free_binary(parse_poly("x0^2", 2))
     assert is_square_free_binary(parse_poly("x0^2 - x1^2", 2))
@@ -238,6 +260,14 @@ def test_square_free_binary():
     assert is_square_free_binary(HomogPoly(2, 0, {(0, 0): 5}))
     assert is_square_free_binary(parse_poly("x1", 2))
     assert is_square_free_binary(parse_poly("2*x0 - 3*x1", 2))
+    # degree 40: a full rank mod p decides the 78 x 78 Sylvester matrix alone,
+    # and a squared factor leaves it singular mod p, so Bareiss decides
+    calls = count_bareiss(monkeypatch)
+    assert is_square_free_binary(seeded_binary_form(40, 40))
+    assert calls == []
+    squared = poly_product(power_linear([1, -2], 2), seeded_binary_form(38, 38))
+    assert not is_square_free_binary(squared)
+    assert len(calls) == 1
 
 
 _LINEAR_FACTOR = st.one_of(st.just((1, 0)), st.just((0, 1)),
@@ -280,6 +310,48 @@ def test_sylvester_examples():
     assert cert.branch == RankCertificate.SQUARE_FREE_AT_D1
 
 
+@st.composite
+def binary_forms(draw):
+    """A nonzero binary form of degree 0-16: dense and random, sparse, a sum of
+    1-4 powers of linear forms, or a squared linear factor times a random form."""
+    d = draw(st.integers(0, 16))
+    kind = draw(st.sampled_from(["random", "sparse", "powers", "squared"]))
+    point = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any)
+    if kind == "powers" and d >= 1:
+        points = draw(st.lists(point, min_size=1, max_size=4))
+        coeffs = draw(st.lists(_NONZERO_COEFF, min_size=len(points), max_size=len(points)))
+        form = power_sum(d, coeffs, points)
+    elif kind == "squared" and d >= 2:
+        coeffs = draw(st.lists(st.integers(-99, 99), min_size=d - 1, max_size=d - 1))
+        cofactor = HomogPoly(2, d - 2, dict(zip(monomial_basis(2, d - 2), coeffs)))
+        form = poly_product(power_linear(draw(point), 2), cofactor)
+    else:
+        size = 3 if kind == "sparse" else d + 1
+        form = HomogPoly(2, d, draw(st.dictionaries(
+            st.sampled_from(monomial_basis(2, d)), _NONZERO_COEFF, min_size=1, max_size=size)))
+    assume(not form.is_zero())
+    return form
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(binary_forms())
+@example(HomogPoly(2, 0, {(0, 0): 3}))
+@example(parse_poly("x0*x1^2", 2))
+def test_sylvester_rank_equals_kernel_search(form):
+    # the middle catalecticant's rank is the first degree with a kernel, and the
+    # witness is that kernel's first vector
+    assert sylvester_rank(form) == sylvester_rank_by_kernels(form)
+
+
+def test_sylvester_rank_runs_one_kernel(monkeypatch):
+    # d1 = 21 is the rank of Cat_20 and the witness decides square-free by
+    # full ranks mod p; the one Bareiss run is the kernel of the 20 x 22 Cat_21
+    calls = count_bareiss(monkeypatch)
+    cert = sylvester_rank(seeded_binary_form(40, 40))
+    assert (cert.rank, cert.branch) == (21, RankCertificate.SQUARE_FREE_AT_D1)
+    assert calls == [(20, 22)]
+
+
 def test_sylvester_generic_rank():
     rng = random.Random(15)
     for d in range(2, 10):
@@ -290,15 +362,17 @@ def test_sylvester_generic_rank():
 
 def test_sylvester_change_of_basis_invariance():
     rng = random.Random(16)
-    for _ in range(30):
-        d = rng.randint(2, 7)
-        f = rand_form(rng, 2, d)
-        while True:
-            a, b, c, e = (rng.randint(-5, 5) for _ in range(4))
-            if a * e - b * c != 0:
-                break
-        g = substitute_binary(f, a, b, c, e)
-        assert sylvester_rank(f).rank == sylvester_rank(g).rank
+    for top in (7, 16):
+        for _ in range(30):
+            d = rng.randint(2, top)
+            f = rand_form(rng, 2, d)
+            while True:
+                a, b, c, e = (rng.randint(-5, 5) for _ in range(4))
+                if a * e - b * c != 0:
+                    break
+            g = substitute_binary(f, a, b, c, e)
+            assert sylvester_rank(f).rank == sylvester_rank(g).rank
+            assert hilbert_function(f).hf == hilbert_function(g).hf
 
 
 def test_sylvester_constructed_three_powers():

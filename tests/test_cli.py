@@ -251,6 +251,17 @@ def test_input_error_exit_code(capsys, monkeypatch, tmp_path):
     assert code == 2 and out == "" and "--form and --generic are mutually exclusive" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hilbert", "--form", "", "--generic", "2", "4"],
+     "--form and --generic are mutually exclusive"),
+    (["hilbert", "--form", ""], "empty input"),
+    (["perp", "--form", "", "--t", "1"], "empty input"),
+], ids=["hilbert-generic", "hilbert", "perp"])
+def test_empty_form_is_given(argv, message, capsys):
+    # an empty --form is a form to reject, not an absent flag
+    assert run_cli(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_result_too_long_to_print(output, capsys):
     # g(7152, 7152) has 4300 digits, the most str() converts by default
