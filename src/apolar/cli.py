@@ -17,8 +17,7 @@ from .apolarity import (catalecticant, decompose_check, hilbert_function,
                         sylvester_rank)
 from .linalg import check_entries, mat_det, mat_rank
 from .poly import (MAX_DEGREE, MAX_VARS, HomogPoly, format_rational,
-                   infer_num_vars, monomial_count, parse_int, parse_poly,
-                   render_poly)
+                   monomial_count, parse_int, parse_poly, render_poly)
 from .seeding import TRIALS, random_coefficients, trial_rng
 
 # fixtures, secant and tensor are imported by the commands that use them, so
@@ -140,13 +139,6 @@ def _int_list(text):
     return [parse_int(x) for x in text.split(",")]
 
 
-def _parse_form(args):
-    num_vars = args.vars
-    if num_vars is None:
-        num_vars = infer_num_vars(args.form)
-    return parse_poly(args.form, num_vars)
-
-
 def _envelope(args, command, inputs, result, certified=True):
     return {
         "command": command,
@@ -180,7 +172,7 @@ def _read_tensor(path):
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
         obj = json.loads(text, parse_int=parse_int)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         source = "stdin" if path == "-" else "tensor file %r" % path
         raise ValueError("cannot read %s as JSON: %s" % (source, exc))
     if isinstance(obj, dict) and "result" in obj and isinstance(obj["result"], dict):
@@ -214,13 +206,13 @@ def _cmd_rank(args):
         exponents = _int_list(args.exponents)
         result = {"rank": monomial_rank(exponents)}
         return _envelope(args, "rank.monomial", {"exponents": exponents}, result)
-    form = _parse_form(args)
+    form = parse_poly(args.form, args.vars)
     return _envelope(args, "rank.quadratic", _poly_payload(form),
                      {"rank": quadratic_rank(form)})
 
 
 def _cmd_perp(args):
-    form = _parse_form(args)
+    form = parse_poly(args.form, args.vars)
     basis = perp_piece(form, args.t)
     result = {"t": args.t, "dimension": len(basis),
               "basis": [render_poly(b, var="y") for b in basis]}
@@ -241,7 +233,7 @@ def _cmd_hilbert(args):
         coeffs = random_coefficients(trial_rng(args.seed, 0), monomial_count(n + 1, d))
         form = HomogPoly.from_coeff_vector(n + 1, d, coeffs)
     elif args.form is not None:
-        form = _parse_form(args)
+        form = parse_poly(args.form, args.vars)
     else:
         raise ValueError("hilbert needs --form or --generic")
     profile = hilbert_function(form)
@@ -250,7 +242,7 @@ def _cmd_hilbert(args):
 
 
 def _cmd_catalecticant(args):
-    form = _parse_form(args)
+    form = parse_poly(args.form, args.vars)
     cat = catalecticant(form, args.t)
     result = _matrix_payload(cat.matrix)
     result["t"] = args.t
@@ -259,7 +251,7 @@ def _cmd_catalecticant(args):
 
 
 def _cmd_decompose_check(args):
-    form = _parse_form(args)
+    form = parse_poly(args.form, args.vars)
     points = []
     for chunk in args.points.split(";"):
         points.append(_int_list(chunk))

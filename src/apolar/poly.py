@@ -123,7 +123,7 @@ def render_poly(poly, var="x"):
     return " ".join(pieces)
 
 
-_TOKEN = re.compile(r"(x\d+)|(\d+)|([-+*/^])")
+_TOKEN = re.compile(r"(x\d+)|(\d+)|([-+*/^])|(\S)")
 
 
 def _check_digits(count):
@@ -143,119 +143,81 @@ def parse_int(text):
         raise ValueError("expected an integer, got %r" % text) from None
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError("unexpected character %r at position %d" % (text[pos], pos))
-        tokens.append(m.group(m.lastindex))
-        _check_digits(len(tokens[-1].lstrip("x")))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, num_vars):
-        self.tokens = tokens
-        self.pos = 0
-        self.num_vars = num_vars
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        terms = []
-        sign = 1
-        tok = self.peek()
-        if tok in ("+", "-"):
-            self.take()
-            sign = -1 if tok == "-" else 1
-        terms.append(self.term(sign))
-        while self.peek() is not None:
-            tok = self.take()
-            if tok not in ("+", "-"):
-                raise ValueError("expected + or - between terms, got %r" % tok)
-            terms.append(self.term(-1 if tok == "-" else 1))
-        return terms
-
-    def term(self, sign):
-        coeff = Fraction(sign)
-        exponents = [0] * self.num_vars
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise ValueError("unexpected end of input")
-            if tok.startswith("x"):
-                self.take()
-                idx = int(tok[1:])
-                if idx >= self.num_vars:
-                    raise ValueError("variable %s out of range for %d variables"
-                                     % (tok, self.num_vars))
-                power = 1
-                if self.peek() == "^":
-                    self.take()
-                    p = self.take()
-                    if p is None or not p.isdigit():
-                        raise ValueError("expected integer exponent")
-                    power = int(p)
-                exponents[idx] += power
-            elif tok.isdigit():
-                self.take()
-                num = int(tok)
-                if self.peek() == "/":
-                    self.take()
-                    den = self.take()
-                    if den is None or not den.isdigit() or int(den) == 0:
-                        raise ValueError("expected nonzero integer denominator")
-                    coeff *= Fraction(num, int(den))
-                else:
-                    coeff *= num
-            else:
-                raise ValueError("expected coefficient or variable, got %r" % tok)
-            if self.peek() == "*":
-                self.take()
-                continue
-            return coeff, tuple(exponents)
-
-
-def parse_poly(text, num_vars):
-    """Parse the textual grammar into a HomogPoly; rejects mixed degrees."""
+def _check_num_vars(num_vars):
     if num_vars < 1 or num_vars > MAX_VARS:
         raise ValueError("number of variables must be in [1, %d]" % MAX_VARS)
-    tokens = _tokenize(text)
+
+
+def parse_poly(text, num_vars=None):
+    """Parse the textual grammar into a HomogPoly; rejects mixed degrees.
+
+    Without num_vars the variable count is one more than the largest index
+    in the text, or 1 when no variable appears.
+    """
+    if num_vars is not None:
+        _check_num_vars(num_vars)
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if m.lastindex == 4:
+            raise ValueError("unexpected character %r at position %d" % (tok, m.start()))
+        _check_digits(len(tok.lstrip("x")))
+        tokens.append(tok)
+    if num_vars is None:
+        num_vars = max((int(tok[1:]) + 1 for tok in tokens if tok[0] == "x"), default=1)
+        _check_num_vars(num_vars)
     if not tokens:
         raise ValueError("empty input")
-    raw_terms = _Parser(tokens, num_vars).parse()
-    degrees = {sum(m) for c, m in raw_terms if c != 0}
+    tokens.append(None)  # end of input; a factor reads at most two tokens past itself
+    # a term is factors joined by *, each xN or xN^E or P or P/Q; + and - join terms
+    i = 1 if tokens[0] in ("+", "-") else 0
+    coeff, exponents = Fraction(-1 if tokens[0] == "-" else 1), [0] * num_vars
+    terms, degrees = {}, set()
+    while True:
+        tok = tokens[i]
+        if tok is None:
+            raise ValueError("unexpected end of input")
+        if tok[0] == "x":
+            idx = int(tok[1:])
+            if idx >= num_vars:
+                raise ValueError("variable %s out of range for %d variables" % (tok, num_vars))
+            power = 1
+            if tokens[i + 1] == "^":
+                power = tokens[i + 2]
+                if power is None or not power.isdigit():
+                    raise ValueError("expected integer exponent")
+                i += 2
+            exponents[idx] += int(power)
+        elif tok.isdigit():
+            if tokens[i + 1] == "/":
+                den = tokens[i + 2]
+                if den is None or not den.isdigit() or int(den) == 0:
+                    raise ValueError("expected nonzero integer denominator")
+                coeff *= Fraction(int(tok), int(den))
+                i += 2
+            else:
+                coeff *= int(tok)
+        else:
+            raise ValueError("expected coefficient or variable, got %r" % tok)
+        sep = tokens[i + 1]
+        i += 2
+        if sep == "*":
+            continue
+        if coeff:
+            mono = tuple(exponents)
+            degrees.add(sum(mono))
+            terms[mono] = terms.get(mono, 0) + coeff
+        if sep is None:
+            break
+        if sep not in ("+", "-"):
+            raise ValueError("expected + or - between terms, got %r" % sep)
+        coeff, exponents = Fraction(-1 if sep == "-" else 1), [0] * num_vars
     if len(degrees) > 1:
         raise ValueError("mixed degrees %s" % sorted(degrees))
     degree = degrees.pop() if degrees else 0
     if degree > MAX_DEGREE:
         raise ValueError("degree %d exceeds limit %d" % (degree, MAX_DEGREE))
-    terms = {}
-    for coeff, mono in raw_terms:
-        if coeff == 0:
-            continue
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
     return HomogPoly(num_vars, degree, terms)
-
-
-def infer_num_vars(text):
-    """Smallest variable count covering every index mentioned in the text."""
-    indices = [int(tok[1:]) for tok in _tokenize(text) if tok.startswith("x")]
-    if not indices:
-        return 1
-    return max(indices) + 1
 
 
 def power_linear(coefficients, degree):

@@ -21,8 +21,20 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .linalg import QMatrix, check_entries, mat_rank
+from .linalg import MAX_ENTRIES, QMatrix, check_entries, mat_rank
 from .poly import format_rational, parse_int
+
+
+def _entry_count(shape, what):
+    """prod(shape), raising once the running product passes MAX_ENTRIES, so a
+    long shape is refused without multiplying out all its extents."""
+    size = 1
+    for d in shape:
+        size *= d
+        if size > MAX_ENTRIES:
+            raise ValueError("%s would have more than the limit of %d entries"
+                             % (what, MAX_ENTRIES))
+    return size
 
 
 class DenseTensor(namedtuple("DenseTensor", "shape entries")):
@@ -34,16 +46,17 @@ class DenseTensor(namedtuple("DenseTensor", "shape entries")):
         shape = tuple(int(d) for d in shape)
         if any(d < 1 for d in shape):
             raise ValueError("extents must be positive")
+        size = _entry_count(shape, "tensor")
         entries = [Fraction(e) for e in entries]
-        if len(entries) != prod(shape):
-            raise ValueError("expected %d entries, got %d" % (prod(shape), len(entries)))
+        if len(entries) != size:
+            raise ValueError("expected %d entries, got %d" % (size, len(entries)))
         return super().__new__(cls, shape, entries)
 
     @classmethod
     def rank_one(cls, factors, coeff=1):
         """coeff * v1 (x) v2 (x) ... (x) vt for the given factor vectors."""
-        check_entries(prod(len(v) for v in factors), "rank-one tensor")
         shape = tuple(len(v) for v in factors)
+        _entry_count(shape, "rank-one tensor")
         entries = [Fraction(coeff)]
         for v in factors:
             entries = [e * Fraction(c) for e in entries for c in v]

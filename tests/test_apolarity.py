@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, note, settings, strategies as st
 
 from apolar import linalg
 from apolar.apolarity import (RankCertificate, catalecticant,
@@ -17,7 +17,7 @@ from apolar.apolarity import (RankCertificate, catalecticant,
                               quadratic_rank, sylvester_rank)
 from apolar.linalg import QMatrix, mat_rank
 from apolar.poly import (HomogPoly, apolar_apply, monomial_basis, parse_poly,
-                         power_linear)
+                         power_linear, render_poly)
 from oracles import (catalecticant_by_partials, poly_product, rank_fraction_gauss,
                      sylvester_rank_by_kernels)
 
@@ -53,6 +53,11 @@ def substitute_binary(form, a, b, c, d):
             term = poly_product(term, power_linear([c, d], j))
         add_terms(out, term.terms)
     return HomogPoly(2, form.degree, out)
+
+
+def note_form(form):
+    """Print a falsifying form in the CLI grammar, to replay through parse_poly."""
+    note("%d variables, degree %d: %s" % (form.num_vars, form.degree, render_poly(form)))
 
 
 def count_bareiss(monkeypatch):
@@ -107,6 +112,7 @@ def forms_in_few_variables(draw):
 @given(forms_in_few_variables())
 def test_catalecticant_equals_repeated_partials(case):
     form, integral = case
+    note_form(form)
     for t in range(form.degree + 1):
         matrix = catalecticant(form, t).matrix
         assert [matrix.row(i) for i in range(matrix.rows)] == catalecticant_by_partials(
@@ -230,6 +236,7 @@ def nonzero_forms(draw):
 @example(HomogPoly(2, 0, {(0, 0): 3}))
 @example(HomogPoly(3, 1, {(0, 1, 0): Fraction(-2, 5)}))
 def test_hilbert_function_is_every_catalecticant_rank(form):
+    note_form(form)
     # hilbert_function ranks Cat_t for t <= d/2 only and mirrors the rest;
     # here every Cat_t is ranked, so a wrong mirror (or its length) shows
     d = form.degree
@@ -293,6 +300,7 @@ def factored_binary_forms(draw):
 @given(factored_binary_forms())
 def test_square_free_iff_no_proportional_factors(case):
     form, factors = case
+    note_form(form)
     distinct = all(p[0] * q[1] != p[1] * q[0] for p, q in combinations(factors, 2))
     assert is_square_free_binary(form) == distinct
 
@@ -338,6 +346,7 @@ def binary_forms(draw):
 @example(HomogPoly(2, 0, {(0, 0): 3}))
 @example(parse_poly("x0*x1^2", 2))
 def test_sylvester_rank_equals_kernel_search(form):
+    note_form(form)
     # the middle catalecticant's rank is the first degree with a kernel, and the
     # witness is that kernel's first vector
     assert sylvester_rank(form) == sylvester_rank_by_kernels(form)

@@ -229,6 +229,17 @@ def test_input_error_exit_code(capsys, monkeypatch, tmp_path):
         code, out, err = run_cli(capsys, "tensor", "mlrank", "--file", str(path))
         assert (code, out, err) == (
             2, "", "error: cannot read tensor file %r as JSON: %s\n" % (str(path), message))
+    # nesting too deep for the JSON decoder, past CPython's C recursion guard
+    # too; the reason after the colon is CPython's wording
+    deep = "[" * 100000 + "]" * 100000
+    monkeypatch.setattr("sys.stdin", io.StringIO(deep))
+    code, out, err = run_cli(capsys, "tensor", "mlrank")
+    assert (code, out) == (2, "") and err.startswith("error: cannot read stdin as JSON: ")
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    code, out, err = run_cli(capsys, "tensor", "mlrank", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read tensor file %r as JSON: " % str(path))
     # an entry is -?digits or -?digits/digits; Fraction(str) would also take
     # exponents (1e10000000 builds a ten-million-digit integer), decimals,
     # padding and digit separators
@@ -519,6 +530,23 @@ def test_oversized_rank_one_sum_rejected_before_building(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "more than the limit" in err
+
+
+@pytest.mark.parametrize("tensor", [
+    {"shape": [2] * 300000, "entries": [1]},
+    {"rank_one_sum": [{"factors": [[1, 1]] * 300000}]},
+    {"shape": [1500, 1000], "entries": [1] * 1500000},
+], ids=["long-shape", "many-factors", "dense"])
+def test_oversized_tensor_shape_rejected_before_converting(tensor, capsys, tmp_path):
+    # 2^300000 entries, whose full count took seconds and more digits than
+    # str() converts; and a full tensor of 1.5 million entries
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(tensor))
+    code, out, err = run_cli(capsys, "tensor", "mlrank", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert "more than the limit" in err
+    assert "sys.set_int_max_str_digits" not in err
 
 
 # both tensor JSON layouts, with an arbitrary small JSON value possible at every level

@@ -12,9 +12,11 @@ from math import factorial
 
 import pytest
 
+from hypothesis import example, given, settings, strategies as st
+
 from apolar.linalg import QMatrix, mat_rank
-from apolar.poly import (HomogPoly, apolar_apply, canonical_point, infer_num_vars, monomial_basis,
-                         parse_poly, power_linear, render_poly)
+from apolar.poly import (HomogPoly, apolar_apply, canonical_point, monomial_basis, parse_poly,
+                         power_linear, render_poly)
 from oracles import evaluate_terms, poly_product
 
 
@@ -81,10 +83,29 @@ def test_parse_errors():
         parse_poly("", 2)
     with pytest.raises(ValueError, match="^degree 65 exceeds limit 64$"):
         parse_poly("x0^65", 1)
+    with pytest.raises(ValueError, match="^unexpected end of input$"):
+        parse_poly("x0 +", 2)
+    with pytest.raises(ValueError, match=r"^expected coefficient or variable, got '\*'$"):
+        parse_poly("*x0", 2)
+    with pytest.raises(ValueError, match="^expected nonzero integer denominator$"):
+        parse_poly("1/0*x0", 2)
+
+
+def test_parse_error_order():
+    # a bad character wins over an inferred count; a given count is checked
+    # before the text is read, and an inferred one before the grammar
+    with pytest.raises(ValueError, match="^unexpected character '@' at position 4$"):
+        parse_poly("x20 @")
+    with pytest.raises(ValueError, match=r"^number of variables must be in \[1, 16\]$"):
+        parse_poly("x20 +")
+    with pytest.raises(ValueError, match="^variable x5 out of range for 2 variables$"):
+        parse_poly("x5 +", 2)
+    with pytest.raises(ValueError, match=r"^number of variables must be in \[1, 16\]$"):
+        parse_poly("@", 0)
 
 
 def test_infer_num_vars():
-    assert infer_num_vars("x0*x3^2 + x1^3") == 4
+    assert parse_poly("x0*x3^2 + x1^3").num_vars == 4
 
 
 def test_power_linear_binomial():
@@ -188,16 +209,25 @@ def test_perfect_pairing_gram_matrix():
             assert mat_rank(QMatrix.from_rows(gram)) == len(basis)
 
 
-def test_render_parse_round_trip():
-    rng = random.Random(6)
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        d = rng.randint(0, 6)
-        basis = monomial_basis(n, d)
-        terms = {m: Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for m in basis
-                 if rng.random() < 0.5}
-        f = HomogPoly(n, d, terms)
-        assert parse_poly(render_poly(f), n) == f
+@st.composite
+def rational_forms(draw):
+    """A form in 1-5 variables of degree 0-6 with int and p/q coefficients of
+    both signs; the zero form when no term is drawn."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    coeff = st.integers(-99, 99) | st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99))
+    return HomogPoly(n, d, draw(st.dictionaries(
+        st.sampled_from(monomial_basis(n, d)), coeff, max_size=8)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational_forms())
+@example(HomogPoly(3, 2, {}))
+def test_render_parse_round_trip(f):
+    text = render_poly(f)
+    g = parse_poly(text, f.num_vars)
+    assert g == f and (f.is_zero() or g.degree == f.degree)
+    used = [i for mono in f.terms for i, e in enumerate(mono) if e]
+    assert parse_poly(text).num_vars == max(used, default=0) + 1
 
 
 def test_canonical_point():
