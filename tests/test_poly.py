@@ -89,9 +89,6 @@ def test_parse_errors():
         parse_poly("*x0", 2)
     with pytest.raises(ValueError, match="^expected nonzero integer denominator$"):
         parse_poly("1/0*x0", 2)
-
-
-def test_parse_error_order():
     # a bad character wins over an inferred count; a given count is checked
     # before the text is read, and an inferred one before the grammar
     with pytest.raises(ValueError, match="^unexpected character '@' at position 4$"):
