@@ -38,7 +38,7 @@ def catalecticant(form, t):
     if t < 0 or t > d:
         raise ValueError("t = %d outside [0, %d]" % (t, d))
     n = form.num_vars
-    check_entries(monomial_count(n, d - t) * monomial_count(n, t), "catalecticant")
+    check_entries((monomial_count(n, d - t), monomial_count(n, t)), "catalecticant")
     col_index = monomial_index(n, t)
     row_index = monomial_index(n, d - t)
     entries = [[0] * len(col_index) for _ in row_index]
@@ -58,7 +58,7 @@ def perp_piece(form, t):
         raise ValueError("annihilator of the zero form is everything")
     n = form.num_vars
     if t > form.degree:
-        check_entries(monomial_count(n, t), "degree-%d monomial basis" % t)
+        check_entries((monomial_count(n, t),), "degree-%d monomial basis" % t)
         return [HomogPoly.monomial(m) for m in monomial_basis(n, t)]
     kernel = mat_kernel(catalecticant(form, t).matrix)
     return [HomogPoly.from_coeff_vector(n, t, vec) for vec in kernel]
@@ -165,7 +165,7 @@ def decompose_check(form, points):
             raise ValueError("points must be pairwise distinct up to scale")
         seen.append(canon)
     d = form.degree
-    check_entries(monomial_count(form.num_vars, d) * len(points), "decomposition system")
+    check_entries((monomial_count(form.num_vars, d), len(points)), "decomposition system")
     columns = [power_linear(pt, d).coeff_vector() for pt in points]
     rows = len(columns[0])
     system = QMatrix.from_rows([[col[i] for col in columns] for i in range(rows)])

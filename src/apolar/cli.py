@@ -229,8 +229,8 @@ def _cmd_hilbert(args):
         if not 1 <= n < MAX_VARS or not 1 <= d <= MAX_DEGREE:
             raise ValueError("--generic needs 1 <= N <= %d and 1 <= D <= %d"
                              % (MAX_VARS - 1, MAX_DEGREE))
-        check_entries(monomial_count(n + 1, d), "generic form")
-        coeffs = random_coefficients(trial_rng(args.seed, 0), monomial_count(n + 1, d))
+        count = check_entries((monomial_count(n + 1, d),), "generic form")
+        coeffs = random_coefficients(trial_rng(args.seed, 0), count)
         form = HomogPoly.from_coeff_vector(n + 1, d, coeffs)
     elif args.form is not None:
         form = parse_poly(args.form, args.vars)

@@ -26,15 +26,17 @@ from . import modular
 MAX_ENTRIES = 10 ** 6
 
 
-def check_entries(count, what):
-    """Raise ValueError before building `what` when it would have too many entries."""
-    if count > MAX_ENTRIES:
-        if count >= 10 ** 18:
-            # may be too long to print: name a power of ten below it, as a
-            # count of b bits is at least 2^(b - 1) > 10^(0.301 (b - 1))
-            count = "over 10^%d" % ((count.bit_length() - 1) * 301 // 1000)
-        raise ValueError("%s would have %s entries, more than the limit of %d"
-                         % (what, count, MAX_ENTRIES))
+def check_entries(sizes, what):
+    """The product of `sizes`, the extents of `what`; raises ValueError before
+    `what` is built, and before any later size is read, as soon as the running
+    product passes MAX_ENTRIES."""
+    count = 1
+    for size in sizes:
+        count *= size
+        if count > MAX_ENTRIES:
+            raise ValueError("%s would have more than the limit of %d entries"
+                             % (what, MAX_ENTRIES))
+    return count
 
 
 class QMatrix(namedtuple("QMatrix", "rows cols entries")):

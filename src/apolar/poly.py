@@ -136,7 +136,8 @@ def _check_digits(count):
 
 def parse_int(text):
     """int(text), with the digit limit checked first and a non-integer named."""
-    _check_digits(sum(ch.isdecimal() for ch in text))
+    if len(text) > sys.get_int_max_str_digits():
+        _check_digits(sum(ch.isdecimal() for ch in text))
     try:
         return int(text)
     except ValueError:

@@ -20,11 +20,11 @@ bound, which certifies it.  In exact mode the bound also lets
 import sys
 from collections import namedtuple
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from math import comb, prod
 
 from . import modular
-from .linalg import MAX_ENTRIES, rank_int_rows
+from .linalg import check_entries, rank_int_rows
 from .poly import monomial_basis
 from .seeding import TRIALS, random_point, trial_rng
 
@@ -66,18 +66,12 @@ class _MonomialMap:
     def ambient_dim(self):
         return prod(comb(c - 1 + d, d) for c, d in self.blocks) - 1
 
-    def columns_up_to(self, cap):
-        """Monomials of the map (the tangent matrix's columns), or None when
-        more than cap.  A block's C(c - 1 + d, d) >= 2^min(c - 1, d), so one
-        past cap by that bound is never counted."""
-        total = 1
-        for c, d in self.blocks:
-            if min(c - 1, d) >= cap.bit_length():
-                return None
-            total *= comb(c - 1 + d, d)
-            if total > cap:
-                return None
-        return total
+    def column_counts(self):
+        """Each block's monomial count, lazily; their product is the tangent
+        matrix's columns.  C(c - 1 + d, d) >= 2^min(c - 1, d), so a block with
+        min(c - 1, d) >= 64 yields 2^64, a lower bound, and no huge binomial."""
+        return (2 ** 64 if min(c - 1, d) >= 64 else comb(c - 1 + d, d)
+                for c, d in self.blocks)
 
     @property
     def rows_per_point(self):
@@ -161,9 +155,7 @@ def defect_report(spec, s, seed=0, arithmetic=EXACT):
     if s < 1:
         raise ValueError("s must be at least 1")
     # bounded before ambient_dim, whose exact count can run to millions of digits
-    if spec.columns_up_to(MAX_ENTRIES // (s * spec.rows_per_point)) is None:
-        raise ValueError("tangent matrix would have more than the limit of %d entries"
-                         % MAX_ENTRIES)
+    check_entries(chain((s * spec.rows_per_point,), spec.column_counts()), "tangent matrix")
     expected = expected_dim(spec, s)
     known = known_true_dim(spec, s)
     upper = expected if known is None else known

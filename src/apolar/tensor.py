@@ -21,20 +21,8 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .linalg import MAX_ENTRIES, QMatrix, check_entries, mat_rank
+from .linalg import QMatrix, check_entries, mat_rank
 from .poly import format_rational, parse_int
-
-
-def _entry_count(shape, what):
-    """prod(shape), raising once the running product passes MAX_ENTRIES, so a
-    long shape is refused without multiplying out all its extents."""
-    size = 1
-    for d in shape:
-        size *= d
-        if size > MAX_ENTRIES:
-            raise ValueError("%s would have more than the limit of %d entries"
-                             % (what, MAX_ENTRIES))
-    return size
 
 
 class DenseTensor(namedtuple("DenseTensor", "shape entries")):
@@ -46,7 +34,7 @@ class DenseTensor(namedtuple("DenseTensor", "shape entries")):
         shape = tuple(int(d) for d in shape)
         if any(d < 1 for d in shape):
             raise ValueError("extents must be positive")
-        size = _entry_count(shape, "tensor")
+        size = check_entries(shape, "tensor")
         entries = [Fraction(e) for e in entries]
         if len(entries) != size:
             raise ValueError("expected %d entries, got %d" % (size, len(entries)))
@@ -56,7 +44,7 @@ class DenseTensor(namedtuple("DenseTensor", "shape entries")):
     def rank_one(cls, factors, coeff=1):
         """coeff * v1 (x) v2 (x) ... (x) vt for the given factor vectors."""
         shape = tuple(len(v) for v in factors)
-        _entry_count(shape, "rank-one tensor")
+        check_entries(shape, "rank-one tensor")
         entries = [Fraction(coeff)]
         for v in factors:
             entries = [e * Fraction(c) for e in entries for c in v]
@@ -106,7 +94,7 @@ def matmul_tensor(n):
     """The bilinear map (A, B) -> AB on n x n matrices, as an n^2 cube."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    check_entries(n ** 6, "matrix multiplication tensor")
+    check_entries((n,) * 6, "matrix multiplication tensor")
     # a_ij b_jl contributes to c_il: entry (i n + j, j n + l, i n + l) is 1
     m = n * n
     entries = [0] * m ** 3
@@ -230,8 +218,11 @@ def tensor_from_json(obj):
         for item in _json_list(obj["rank_one_sum"], "rank_one_sum"):
             if not isinstance(item, dict) or "factors" not in item:
                 raise ValueError("rank_one_sum items must be objects with a 'factors' field")
-            factors = [[parse_rational(x) for x in _json_list(v, "each factor")]
+            factors = [_json_list(v, "each factor")
                        for v in _json_list(item["factors"], "factors")]
+            # sized before any coordinate is converted
+            check_entries(map(len, factors), "rank-one tensor")
+            factors = [[parse_rational(x) for x in v] for v in factors]
             coeff = parse_rational(item.get("coeff", 1))
             term = DenseTensor.rank_one(factors, coeff)
             total = term if total is None else total + term
@@ -243,7 +234,7 @@ def tensor_from_json(obj):
         if any(isinstance(d, bool) or not isinstance(d, int) for d in shape):
             raise ValueError("shape must list integer extents")
         entries = _json_list(obj["entries"], "entries")
-        return DenseTensor(shape, [parse_rational(e) for e in entries])
+        return DenseTensor(shape, map(parse_rational, entries))
     raise ValueError("tensor JSON needs 'shape'+'entries' or 'rank_one_sum'")
 
 

@@ -15,7 +15,7 @@ from apolar.apolarity import (RankCertificate, catalecticant,
                               decompose_check, hilbert_function,
                               is_square_free_binary, monomial_rank, perp_piece,
                               quadratic_rank, sylvester_rank)
-from apolar.linalg import QMatrix, mat_rank
+from apolar.linalg import QMatrix, mat_det, mat_rank
 from apolar.poly import (HomogPoly, apolar_apply, monomial_basis, parse_poly,
                          power_linear, render_poly)
 from oracles import (catalecticant_by_partials, poly_product, rank_fraction_gauss,
@@ -42,17 +42,17 @@ def power_sum(degree, coeffs, points):
     return HomogPoly(2, degree, total)
 
 
-def substitute_binary(form, a, b, c, d):
-    """Compose with x0 -> a x0 + b x1, x1 -> c x0 + d x1 (ad - bc != 0)."""
+def substitute(form, rows):
+    """Compose with x_i -> sum_j rows[i][j] x_j, for an invertible matrix of rows."""
+    n = form.num_vars
     out = {}
-    for (i, j), coeff in form.terms.items():
-        term = HomogPoly(2, 0, {(0, 0): coeff})
-        if i:
-            term = poly_product(term, power_linear([a, b], i))
-        if j:
-            term = poly_product(term, power_linear([c, d], j))
+    for exps, coeff in form.terms.items():
+        term = HomogPoly(n, 0, {(0,) * n: coeff})
+        for row, e in zip(rows, exps):
+            if e:
+                term = poly_product(term, power_linear(row, e))
         add_terms(out, term.terms)
-    return HomogPoly(2, form.degree, out)
+    return HomogPoly(n, form.degree, out)
 
 
 def note_form(form):
@@ -244,6 +244,33 @@ def test_hilbert_function_is_every_catalecticant_rank(form):
     assert hilbert_function(form).hf == ranks + [0]
 
 
+@st.composite
+def forms_and_substitutions(draw):
+    """(F, M): a nonzero form in 3-4 variables of degree 2-6 and an invertible
+    integer matrix M, whose rows are the images of the variables."""
+    n, d = draw(st.integers(3, 4)), draw(st.integers(2, 6))
+    terms = draw(st.dictionaries(st.sampled_from(monomial_basis(n, d)), _NONZERO_COEFF,
+                                 min_size=1, max_size=6))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(mat_det(QMatrix.from_rows(rows)) != 0)
+    return HomogPoly(n, d, terms), rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(forms_and_substitutions())
+@example((parse_poly("x0^3*x1 - 2*x1^4", 2), [[1, 2], [-1, 3]]))
+@example((parse_poly("x0^2 + x1*x2", 3), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+def test_hilbert_function_and_quadric_rank_survive_a_change_of_coordinates(case):
+    form, rows = case
+    note_form(form)
+    note("x_i -> row i of %r" % (rows,))
+    moved = substitute(form, rows)
+    assert hilbert_function(moved).hf == hilbert_function(form).hf
+    if form.degree == 2:
+        assert quadratic_rank(moved) == quadratic_rank(form)
+
+
 def test_catalecticant_transpose_duality():
     rng = random.Random(14)
     for _ in range(25):
@@ -379,7 +406,7 @@ def test_sylvester_change_of_basis_invariance():
                 a, b, c, e = (rng.randint(-5, 5) for _ in range(4))
                 if a * e - b * c != 0:
                     break
-            g = substitute_binary(f, a, b, c, e)
+            g = substitute(f, [[a, b], [c, e]])
             assert sylvester_rank(f).rank == sylvester_rank(g).rank
             assert hilbert_function(f).hf == hilbert_function(g).hf
 

@@ -497,29 +497,33 @@ def test_flags_rejected_where_not_honoured(argv, message, capsys):
     assert message in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["hilbert", "--generic", "15", "64"],
-    ["hilbert", "--form", "x0^64", "--vars", "16"],
-    ["catalecticant", "--form", "x0^64", "--vars", "16", "--t", "32"],
-    ["perp", "--form", "x0", "--vars", "16", "--t", "1000"],
-    ["decompose-check", "--form", "x0^64", "--vars", "16",
-     "--points", "1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0"],
-    ["secant-dim", "veronese", "--n", "15", "--d", "20", "--s", "1000"],
-    ["secant-dim", "segre", "--dims", "99,99,99", "--s", "1"],
-    ["tensor", "matmul", "--n", "11"],
+_OVERSIZED = [
+    (["hilbert", "--generic", "15", "64"], "generic form"),
+    (["hilbert", "--form", "x0^64", "--vars", "16"], "catalecticant"),
+    (["catalecticant", "--form", "x0^64", "--vars", "16", "--t", "32"], "catalecticant"),
+    (["perp", "--form", "x0", "--vars", "16", "--t", "1000"], "degree-1000 monomial basis"),
+    (["decompose-check", "--form", "x0^64", "--vars", "16",
+      "--points", "1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0"], "decomposition system"),
+    (["secant-dim", "veronese", "--n", "15", "--d", "20", "--s", "1000"], "tangent matrix"),
+    (["secant-dim", "segre", "--dims", "99,99,99", "--s", "1"], "tangent matrix"),
+    (["tensor", "matmul", "--n", "11"], "matrix multiplication tensor"),
     # counts of more digits than str() converts: the exact ambient dimension
     # of the first alone took over a second to compute
-    ["secant-dim", "veronese", "--n", "100000", "--d", "100000", "--s", "1"],
-    ["secant-dim", "segre", "--dims", ",".join(["100000"] * 2000), "--s", "1"],
-    ["tensor", "matmul", "--n", "1" + "0" * 800],
-])
-def test_oversized_input_rejected_before_building(argv, capsys):
+    (["secant-dim", "veronese", "--n", "100000", "--d", "100000", "--s", "1"],
+     "tangent matrix"),
+    (["secant-dim", "segre", "--dims", ",".join(["100000"] * 2000), "--s", "1"],
+     "tangent matrix"),
+    (["tensor", "matmul", "--n", "1" + "0" * 800], "matrix multiplication tensor"),
+]
+
+
+@pytest.mark.parametrize("argv, what", _OVERSIZED,
+                         ids=["argv%d" % i for i in range(len(_OVERSIZED))])
+def test_oversized_input_rejected_before_building(argv, what, capsys):
     # each would build far more than linalg.MAX_ENTRIES entries
     code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "more than the limit" in err
-    assert "sys.set_int_max_str_digits" not in err
+    assert (code, out) == (2, "")
+    assert err == "error: %s would have more than the limit of 1000000 entries\n" % what
 
 
 def test_oversized_rank_one_sum_rejected_before_building(capsys, tmp_path):
@@ -536,7 +540,10 @@ def test_oversized_rank_one_sum_rejected_before_building(capsys, tmp_path):
     {"shape": [2] * 300000, "entries": [1]},
     {"rank_one_sum": [{"factors": [[1, 1]] * 300000}]},
     {"shape": [1500, 1000], "entries": [1] * 1500000},
-], ids=["long-shape", "many-factors", "dense"])
+    # sized before any entry or coordinate is converted, so the malformed one is not reached
+    {"shape": [1500, 1000], "entries": ["1e5"] + [1] * 1499999},
+    {"rank_one_sum": [{"factors": [["x", 1]] + [[1, 1]] * 299999}]},
+], ids=["long-shape", "many-factors", "dense", "dense-bad-entry", "many-factors-bad-entry"])
 def test_oversized_tensor_shape_rejected_before_converting(tensor, capsys, tmp_path):
     # 2^300000 entries, whose full count took seconds and more digits than
     # str() converts; and a full tensor of 1.5 million entries

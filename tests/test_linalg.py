@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apolar import linalg, modular
-from apolar.linalg import (QMatrix, mat_det, mat_kernel, mat_rank, rank_int_rows,
-                           solve_linear)
+from apolar.linalg import (QMatrix, check_entries, mat_det, mat_kernel, mat_rank,
+                           rank_int_rows, solve_linear)
 from oracles import (det_fraction_gauss, kernel_fraction_gauss,
                      rank_fraction_gauss, solve_fraction_gauss)
 
@@ -37,6 +37,23 @@ def test_qmatrix_is_a_checked_record():
         QMatrix(2, 2, [1, 2, 3])
     with pytest.raises(ValueError, match="^ragged rows$"):
         QMatrix.from_rows([[1, 2], [3]])
+
+
+def test_check_entries_stops_at_the_first_size_past_the_limit():
+    def sizes():
+        # 1000 * 1000 is the limit itself; 2 passes it, so nothing after is read
+        yield from (1000, 1000, 2)
+        raise AssertionError("read a size after the limit was passed")
+
+    with pytest.raises(ValueError, match="^matrix would have more than the limit "
+                                         "of 1000000 entries$"):
+        check_entries(sizes(), "matrix")
+    with pytest.raises(ValueError, match="^matrix would have"):
+        check_entries(iter([10 ** 7, 0]), "matrix")
+    assert check_entries((1000, 1000), "matrix") == 10 ** 6
+    assert check_entries((3, 0, 10 ** 9), "matrix") == 0
+    assert check_entries(map(len, ["ab", "cde"]), "matrix") == 6
+    assert check_entries((), "matrix") == 1
 
 
 def test_rational_scalars_stay_reduced():

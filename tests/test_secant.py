@@ -6,10 +6,10 @@ from math import comb, prod
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apolar import secant
-from apolar.linalg import QMatrix, rank_int_rows
+from apolar.linalg import QMatrix, check_entries, rank_int_rows
 from apolar.poly import HomogPoly, apolar_apply, monomial_basis
 from apolar.secant import (Segre, Veronese, big_waring_g, defect_report,
                            expected_dim, terracini_dim_segre,
@@ -29,12 +29,36 @@ _SPECS = (st.builds(Veronese, st.integers(1, 40), st.integers(1, 40))
           | st.builds(Segre, st.lists(st.integers(1, 60), min_size=1, max_size=5).map(tuple)))
 
 
+def columns_up_to_limit(spec, limit):
+    """ambient_dim + 1, or None once past limit.  Each block's C(c - 1 + k, k)
+    grows with k = 0..d, so C(2 * 10^6, 10^6), whose comb takes tens of seconds,
+    is never finished."""
+    total = 1
+    for c, d in spec.blocks:
+        count = 1
+        for k in range(1, d + 1):
+            count = count * (c - 1 + k) // k
+            if total * count > limit:
+                return None
+        total *= count
+    return total
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_SPECS, st.integers(0, 10 ** 7))
-def test_columns_up_to_is_the_column_count_or_none(spec, cap):
-    # the tangent matrix has one column per coordinate of the ambient space
-    columns = spec.ambient_dim + 1
-    assert spec.columns_up_to(cap) == (columns if columns <= cap else None)
+@given(_SPECS)
+@example(Veronese(100, 100))
+@example(Veronese(10 ** 6, 10 ** 6))
+def test_tangent_check_is_the_column_count_or_raises(spec):
+    # the tangent matrix has one column per coordinate of the ambient space;
+    # the two examples count a block as 2^64, a lower bound, without comb
+    columns = columns_up_to_limit(spec, 10 ** 6)
+    if columns is not None:
+        assert columns == spec.ambient_dim + 1
+        assert check_entries(spec.column_counts(), "tangent matrix") == columns
+    else:
+        with pytest.raises(ValueError, match="^tangent matrix would have more than "
+                                             "the limit of 1000000 entries$"):
+            check_entries(spec.column_counts(), "tangent matrix")
 
 
 def test_specs_validate_and_compare_by_value():
