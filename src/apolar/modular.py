@@ -9,8 +9,8 @@ fold that adds each slot's bits above the 31st to its low 31 bits shrinks
 every slot of the pivot row at once and keeps its residue.  Only integer
 entries are accepted: a rational entry raises TypeError, not truncation.
 
-A rank mod p never exceeds the rational rank.  `linalg` keeps it as the
-exact rank when it meets a proven upper bound, and Bareiss decides
+A rank mod p never exceeds the rational rank.  `linalg` and `secant` keep
+it as the exact rank when it meets a proven upper bound, and Bareiss decides
 otherwise; `--arithmetic modular` reports it as it is, a lower bound.
 """
 
@@ -54,7 +54,8 @@ def rank_mod(rows_of_entries):
     rank = 0
     for c in range(cols):
         if c and not c % 16:  # drop dead low slots, so reading a slot stays cheap
-            rows = [row >> 16 * width for row in rows]
+            for i, row in enumerate(rows):
+                rows[i] = row >> 16 * width
         shift = c % 16 * width
         below = (1 << shift + width) - 1
         for i, row in enumerate(rows):

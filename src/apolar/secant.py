@@ -13,11 +13,13 @@ bound is the published dimension of a classified defective case, and the
 expected dimension min(s*dim X + s - 1, N) everywhere else; no sample's rank
 exceeds that bound + 1.  A report takes up to TRIALS independent samples,
 keeps the largest rank seen, and stops at the first whose rank meets the
-bound, which certifies it.  In exact mode the bound also lets
-`rank_int_rows` keep a GF(p) rank that meets it, without Bareiss.
+bound, which certifies it.  A trial is ranked over GF(p) from residues built
+directly; a GF(p) rank meeting the bound + 1 is the rank, and only exact mode,
+when one falls short, builds the exact rows for `rank_int_rows`.
 """
 
 import sys
+from array import array
 from collections import namedtuple
 from functools import cache
 from itertools import chain, product
@@ -81,21 +83,30 @@ class _MonomialMap:
         """A random point in the affine chart of every factor, coordinates concatenated."""
         return [x for c, _ in self.blocks for x in random_point(rng, c)]
 
-    def tangent_rows(self, points):
+    def tangent_rows(self, points, modulus=None):
         """Jacobian of the map at each point, one row per coordinate.
 
         Entry (v, j) is E_j[v] * x^(E_j - e_v).  Each distinct lowered monomial
         is evaluated once per point from a table of powers of its coordinates,
         so an entry is one multiply and zero coordinates need no division.
+        Given a modulus below 2^32, every value is a residue mod it and each
+        row an array("I"); else each row is a list of exact ints.
         """
         stride, columns, lowered, entries = _tangent_plan(self.blocks)
         rows = []
         for pt in points:
-            powers = [x ** f for x in pt for f in range(stride)]
-            values = [prod([powers[i] for i in low]) for low in lowered]
-            block = [[0] * columns for _ in pt]
-            for v, j, e, k in entries:
-                block[v][j] = e * values[k]
+            if modulus is None:
+                powers = [x ** f for x in pt for f in range(stride)]
+                values = [prod([powers[i] for i in low]) for low in lowered]
+                block = [[0] * columns for _ in pt]
+                for v, j, e, k in entries:
+                    block[v][j] = e * values[k]
+            else:
+                powers = [pow(x, f, modulus) for x in pt for f in range(stride)]
+                values = [prod([powers[i] for i in low]) % modulus for low in lowered]
+                block = [array("I", [0]) * columns for _ in pt]
+                for v, j, e, k in entries:
+                    block[v][j] = e * values[k] % modulus
             rows.extend(block)
         return rows
 
@@ -163,9 +174,8 @@ def defect_report(spec, s, seed=0, arithmetic=EXACT):
     for trial in range(TRIALS):
         rng = trial_rng(seed, trial)
         points = [spec.sample(rng) for _ in range(s)]
-        if arithmetic == MODULAR:
-            rank = modular.rank_mod(spec.tangent_rows(points))
-        else:
+        rank = modular.rank_mod(spec.tangent_rows(points, modular.MODULUS))
+        if arithmetic != MODULAR and rank <= upper:
             rank = rank_int_rows(spec.tangent_rows(points), upper + 1)
         best = max(best, rank - 1)
         if best == upper:

@@ -18,15 +18,22 @@ most 4.
 import re
 from collections import namedtuple
 from fractions import Fraction
-from itertools import product
-from math import prod
+from itertools import accumulate, product
+from operator import mul
 
 from .linalg import QMatrix, check_entries, mat_rank
 from .poly import format_rational, parse_int
 
+MAX_ORDER = 64  # modes of a tensor
+
+
+def _check_order(order):
+    if order > MAX_ORDER:
+        raise ValueError("tensor order %d exceeds limit %d" % (order, MAX_ORDER))
+
 
 class DenseTensor(namedtuple("DenseTensor", "shape entries")):
-    """Dense tensor over Fractions; shape is a tuple of positive extents."""
+    """Dense tensor over Fractions; shape is a tuple of at most MAX_ORDER positive extents."""
 
     __slots__ = ()
 
@@ -35,6 +42,7 @@ class DenseTensor(namedtuple("DenseTensor", "shape entries")):
         if any(d < 1 for d in shape):
             raise ValueError("extents must be positive")
         size = check_entries(shape, "tensor")
+        _check_order(len(shape))
         entries = [Fraction(e) for e in entries]
         if len(entries) != size:
             raise ValueError("expected %d entries, got %d" % (size, len(entries)))
@@ -60,13 +68,15 @@ def flatten(tensor, left_modes):
     """Matrix of the tensor with the given modes (1-based) indexing rows."""
     shape = tensor.shape
     order = len(shape)
-    left = sorted(set(left_modes))
+    left = set(left_modes)
     if not left or any(m < 1 or m > order for m in left) or len(left) >= order:
         raise ValueError("left modes must be a nonempty proper subset of 1..%d" % order)
-    # steps[m]: the flat offsets i * stride of the indices i of mode m (1-based)
-    steps = {m: range(0, prod(shape[m - 1:]), prod(shape[m:])) for m in range(1, order + 1)}
-    rows = [sum(index) for index in product(*(steps[m] for m in left))]
-    cols = [sum(index) for index in product(*(steps[m] for m in steps if m not in left))]
+    # steps[m - 1]: the flat offsets i * stride of the indices i of mode m
+    strides = list(accumulate(reversed(shape[1:]), mul, initial=1))[::-1]
+    steps = [range(0, d * stride, stride) for d, stride in zip(shape, strides)]
+    rows = [sum(index) for index in product(*(steps[m - 1] for m in sorted(left)))]
+    cols = [sum(index) for index in product(*(steps[m - 1] for m in range(1, order + 1)
+                                              if m not in left))]
     entries = tensor.entries
     return QMatrix.from_rows([[entries[r + c] for c in cols] for r in rows])
 
@@ -142,46 +152,40 @@ def strassen_matrix(tensor):
 # map exponent tuples (indexed by flat tensor position 9a + 3b + c) to
 # integer coefficients.
 SymbolicDet = namedtuple("SymbolicDet", "terms term_count total_degree")
+_HEX_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def strassen_det_symbolic():
     """Expand the generic pencil determinant.
 
-    Cofactor expansion row by row; minors are memoized on the surviving
-    column set, and every block of structural zeros prunes the recursion.
+    Cofactor expansion from the last row up: level k holds the nonzero
+    minors on the last k rows, keyed by their column set as a bit mask, and
+    is dropped once level k + 1 is built from it.  While expanding, a
+    monomial is an int with 4 bits per variable (no exponent exceeds 9).
     """
-    structure = _pencil_structure()
-    memo = {}
-
-    def minor(cols):
-        if not cols:
-            return {(0,) * 27: 1}
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = structure[9 - len(cols)]
-        out = {}
-        for pos, c in enumerate(cols):
-            cell = row[c]
-            if cell is None:
-                continue
-            sign, var = cell
-            if pos % 2:
-                sign = -sign
-            for mono, coeff in minor(cols[:pos] + cols[pos + 1:]).items():
-                key = list(mono)
-                key[var] += 1
-                key = tuple(key)
-                prev = out.get(key, 0)
-                total = prev + sign * coeff
-                if total:
-                    out[key] = total
-                elif key in out:
-                    del out[key]
-        memo[cols] = out
-        return out
-
-    terms = minor(tuple(range(9)))
+    minors = {0: {0: 1}}
+    for row in reversed(_pencil_structure()):
+        level = {}
+        for cols, terms in minors.items():
+            for c, cell in enumerate(row):
+                if cell is None or cols >> c & 1:
+                    continue
+                sign, var = cell
+                if (cols & (1 << c) - 1).bit_count() % 2:  # columns before c
+                    sign = -sign
+                step = 1 << 4 * var
+                out = level.setdefault(cols | 1 << c, {})
+                for mono, coeff in terms.items():
+                    key = mono + step
+                    total = out.get(key, 0) + sign * coeff
+                    if total:
+                        out[key] = total
+                    elif key in out:
+                        del out[key]
+        minors = level
+    # each hex digit of a packed monomial is one exponent, variable 26 first
+    terms = {tuple(("%027x" % mono).encode().translate(_HEX_DIGITS)[::-1]): coeff
+             for mono, coeff in minors[(1 << 9) - 1].items()}
     return SymbolicDet(terms, len(terms), max(sum(m) for m in terms))
 
 
@@ -220,8 +224,9 @@ def tensor_from_json(obj):
                 raise ValueError("rank_one_sum items must be objects with a 'factors' field")
             factors = [_json_list(v, "each factor")
                        for v in _json_list(item["factors"], "factors")]
-            # sized before any coordinate is converted
+            # sized, and its order checked, before any coordinate is converted
             check_entries(map(len, factors), "rank-one tensor")
+            _check_order(len(factors))
             factors = [[parse_rational(x) for x in v] for v in factors]
             coeff = parse_rational(item.get("coeff", 1))
             term = DenseTensor.rank_one(factors, coeff)

@@ -12,15 +12,22 @@ by entry at full multi-indices, independently of the strided offsets that
 `apolar.tensor.flatten` sums.  The Sylvester route searches the annihilator
 degree by degree and tests square-freeness by a resultant's value,
 independently of the two ranks that `apolar.apolarity.sylvester_rank` asks.
+The pencil route expands the determinant top-down, memoizing minors on
+tuples of columns and monomials as exponent tuples, independently of the
+bottom-up, bit-packed expansion in `apolar.tensor`.  The Terracini route
+ranks every trial's exact tangent rows with `rank_int_rows`, as exact mode
+did before it ranked residues mod p first.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from apolar.apolarity import RankCertificate, catalecticant, perp_piece
-from apolar.linalg import QMatrix, mat_det
+from apolar.linalg import QMatrix, mat_det, rank_int_rows
 from apolar.poly import HomogPoly
-from apolar.tensor import DenseTensor
+from apolar.secant import DimReport, expected_dim, known_true_dim
+from apolar.seeding import TRIALS, trial_rng
+from apolar.tensor import DenseTensor, _pencil_structure
 
 
 def _row_lists(matrix):
@@ -268,3 +275,57 @@ def sylvester_rank_by_kernels(binary_form):
                 return RankCertificate(t, witness, RankCertificate.SQUARE_FREE_AT_D1)
             return RankCertificate(d + 2 - t, witness, RankCertificate.FELL_THROUGH_TO_D2)
     raise AssertionError("annihilator of a degree-%d form has a generator by degree d+1" % d)
+
+
+def strassen_det_memoized():
+    """Terms {exponent tuple: coefficient} of the generic pencil determinant,
+    by cofactor expansion from the first row down, minors memoized on the
+    tuple of surviving columns."""
+    structure = _pencil_structure()
+    memo = {}
+
+    def minor(cols):
+        if not cols:
+            return {(0,) * 27: 1}
+        cached = memo.get(cols)
+        if cached is not None:
+            return cached
+        row = structure[9 - len(cols)]
+        out = {}
+        for pos, c in enumerate(cols):
+            cell = row[c]
+            if cell is None:
+                continue
+            sign, var = cell
+            if pos % 2:
+                sign = -sign
+            for mono, coeff in minor(cols[:pos] + cols[pos + 1:]).items():
+                key = list(mono)
+                key[var] += 1
+                key = tuple(key)
+                total = out.get(key, 0) + sign * coeff
+                if total:
+                    out[key] = total
+                elif key in out:
+                    del out[key]
+        memo[cols] = out
+        return out
+
+    return minor(tuple(range(9)))
+
+
+def exact_report_by_exact_rows(spec, s, seed):
+    """The exact-mode DimReport of `secant.defect_report`, each trial ranking
+    its exact tangent rows with rank_int_rows under the proven bound + 1."""
+    expected = expected_dim(spec, s)
+    known = known_true_dim(spec, s)
+    upper = expected if known is None else known
+    best = -1
+    for trial in range(TRIALS):
+        rng = trial_rng(seed, trial)
+        points = [spec.sample(rng) for _ in range(s)]
+        best = max(best, rank_int_rows(spec.tangent_rows(points), upper + 1) - 1)
+        if best == upper:
+            break
+    return DimReport(spec=spec, computed_dim=best, expected_dim=expected,
+                     defect=expected - best, certified=best == upper)

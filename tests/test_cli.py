@@ -556,6 +556,22 @@ def test_oversized_tensor_shape_rejected_before_converting(tensor, capsys, tmp_p
     assert "sys.set_int_max_str_digits" not in err
 
 
+def test_tensor_order_limit(capsys, tmp_path):
+    # 300,000 one-entry factors pass the size guard (one entry) and are refused
+    # by their order before a coordinate is converted; flattening them took
+    # O(order^2) per mode.  64 modes are still read and ranked.
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"rank_one_sum": [{"factors": [[1]] * 300000}]}))
+    code, out, err = run_cli(capsys, "tensor", "mlrank", "--file", str(path))
+    assert (code, out, err) == (2, "", "error: tensor order 300000 exceeds limit 64\n")
+    path.write_text(json.dumps({"shape": [1] * 65, "entries": [1]}))
+    code, out, err = run_cli(capsys, "tensor", "mlrank", "--file", str(path))
+    assert (code, out, err) == (2, "", "error: tensor order 65 exceeds limit 64\n")
+    path.write_text(json.dumps({"rank_one_sum": [{"factors": [[1, 1]] * 3 + [[1]] * 61}]}))
+    code, envelope = run_json(capsys, "tensor", "mlrank", "--file", str(path))
+    assert code == 0 and envelope["result"]["multilinear_rank"] == [1] * 64
+
+
 # both tensor JSON layouts, with an arbitrary small JSON value possible at every level
 _ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-2, 3)

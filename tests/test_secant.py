@@ -1,21 +1,24 @@
 """Secant dimension engines, expected dimensions, and the generic rank map."""
 
 import random
+import tracemalloc
 
 from math import comb, prod
+from types import SimpleNamespace
 
 import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from apolar import secant
+from apolar import modular, secant
 from apolar.linalg import QMatrix, check_entries, rank_int_rows
 from apolar.poly import HomogPoly, apolar_apply, monomial_basis
 from apolar.secant import (Segre, Veronese, big_waring_g, defect_report,
                            expected_dim, terracini_dim_segre,
                            terracini_dim_veronese)
 from apolar.seeding import random_point, trial_rng
-from oracles import evaluate_terms, rank_fraction_gauss, rank_one_tangent_rows
+from oracles import (evaluate_terms, exact_report_by_exact_rows, rank_fraction_gauss,
+                     rank_one_tangent_rows)
 
 
 def test_ambient_and_variety_dims():
@@ -104,12 +107,14 @@ _COORD = st.integers(-3, 5)
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_tangent_rows_match_oracles(data):
+    # exact rows equal the oracle's; with the modulus, rows of residues
+    # equal the oracle's rows reduced mod p, negative coordinates included
     if data.draw(st.booleans()):
         n, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
         points = data.draw(st.lists(st.lists(_COORD, min_size=n + 1, max_size=n + 1),
                                     min_size=1, max_size=3))
         want = [row for pt in points for row in veronese_tangent_oracle(n, d, pt)]
-        assert Veronese(n, d).tangent_rows(points) == want
+        spec = Veronese(n, d)
     else:
         dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
         factors = data.draw(st.lists(
@@ -117,7 +122,11 @@ def test_tangent_rows_match_oracles(data):
             min_size=1, max_size=3))
         points = [[x for v in f for x in v] for f in factors]
         want = [row for f in factors for row in rank_one_tangent_rows(list(f))]
-        assert Segre(dims).tangent_rows(points) == want
+        spec = Segre(dims)
+    assert spec.tangent_rows(points) == want
+    residues = spec.tangent_rows(points, modular.MODULUS)
+    assert [list(row) for row in residues] == [[e % modular.MODULUS for e in row]
+                                               for row in want]
 
 
 @pytest.mark.parametrize("blocks", [((2, 1),), ((3, 4),), ((5, 6),), ((5, 8),),
@@ -243,23 +252,85 @@ def test_report_keeps_the_best_of_all_trials(spec, s, seed):
 @pytest.mark.parametrize("arithmetic", [secant.EXACT, secant.MODULAR])
 def test_trials_stop_at_the_expected_dimension(arithmetic, monkeypatch):
     # the loop stops once a trial meets the proven upper bound: the expected
-    # dimension, or the tabulated one of a classified defective case
-    calls = []
-    module, name = ((secant, "rank_int_rows") if arithmetic == secant.EXACT
-                    else (secant.modular, "rank_mod"))
-    rank = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda rows, *bound: calls.append(1) or rank(rows, *bound))
+    # dimension, or the tabulated one of a classified defective case.  Each
+    # trial makes one GF(p) rank call of its own, seen through the `modular`
+    # that secant holds; exact mode builds exact rows only for a trial short
+    # of the bound, whose rank_int_rows makes its own GF(p) call in linalg.
+    calls, exact_calls = [], []
+    rank_mod, rank_exact = modular.rank_mod, secant.rank_int_rows
+    monkeypatch.setattr(secant, "modular", SimpleNamespace(
+        MODULUS=modular.MODULUS, rank_mod=lambda rows: calls.append(1) or rank_mod(rows)))
+    monkeypatch.setattr(secant, "rank_int_rows",
+                        lambda rows, bound: exact_calls.append(1) or rank_exact(rows, bound))
+    exact = 1 if arithmetic == secant.EXACT else 0
     # Segre (1,1,1), s=2 meets its expected dimension 7 at the first sample
     assert defect_report(Segre((1, 1, 1)), 2, arithmetic=arithmetic).defect == 0
-    assert len(calls) == 1
+    assert (len(calls), len(exact_calls)) == (1, 0)
     # Veronese (2,4), s=5 is defective and meets its tabulated 13 at once
     report = defect_report(Veronese(2, 4), 5, arithmetic=arithmetic)
     assert (report.defect, report.certified) == (1, True)
-    assert len(calls) == 2
+    assert (len(calls), len(exact_calls)) == (2, 0)
     # Segre (1,1,3), s=3 is defective but untabulated: no sample can meet 15
     report = defect_report(Segre((1, 1, 3)), 3, arithmetic=arithmetic)
     assert (report.computed_dim, report.certified) == (14, False)
     assert len(calls) == 2 + secant.TRIALS == 5
+    assert len(exact_calls) == exact * secant.TRIALS
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_SMALL_SPECS, st.integers(1, 5), st.integers(0, (1 << 64) - 1))
+def test_exact_report_matches_the_exact_row_loop(spec, s, seed):
+    # residues first, exact rows on a shortfall: the same report as ranking
+    # every trial's exact rows.  A GF(p) rank one short forces the fallback
+    # on every trial, and Bareiss still gives the exact ranks.
+    want = exact_report_by_exact_rows(spec, s, seed)
+    assert defect_report(spec, s, seed) == want
+    mod_calls, exact_calls = [], []
+    rank_mod, rank_exact = modular.rank_mod, secant.rank_int_rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modular, "rank_mod", lambda rows: mod_calls.append(1) or rank_mod(rows) - 1)
+        patch.setattr(secant, "rank_int_rows",
+                      lambda rows, bound: exact_calls.append(1) or rank_exact(rows, bound))
+        assert defect_report(spec, s, seed) == want
+    # one call on residues and one inside rank_int_rows, every trial
+    assert exact_calls and len(mod_calls) == 2 * len(exact_calls)
+
+
+@pytest.mark.parametrize("arithmetic", [secant.EXACT, secant.MODULAR])
+def test_huge_degree_veronese_ranks_residues_only(arithmetic, monkeypatch):
+    # a 2 x 2001 tangent matrix whose exact entries run to 2000 * 16 bits:
+    # every entry ranked is a residue, and no exact row is built
+    largest = []
+    rank_mod = modular.rank_mod
+
+    def spy(rows):
+        largest.append(max(max(row) for row in rows))
+        return rank_mod(rows)
+
+    def refuse(*args):
+        raise AssertionError("exact rows ranked")
+
+    monkeypatch.setattr(modular, "rank_mod", spy)
+    monkeypatch.setattr(secant, "rank_int_rows", refuse)
+    report = defect_report(Veronese(1, 2000), 1, arithmetic=arithmetic)
+    assert (report.computed_dim, report.certified) == (1, True)
+    assert len(largest) == 1 and largest[0] < modular.MODULUS
+
+
+@pytest.mark.parametrize("arithmetic", [secant.EXACT, secant.MODULAR])
+def test_certified_report_peak_allocation(arithmetic):
+    # Veronese (4,6), s=42: 210 x 210 tangent rows of residues, 4 bytes
+    # each, where exact rows of ints up to 83 bits traced 2.1 MB or more
+    spec = Veronese(4, 6)
+    secant._tangent_plan(spec.blocks)
+    tracemalloc.start()
+    try:
+        report = defect_report(spec, 42, arithmetic=arithmetic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.certified
+    assert peak < 1.2e6
 
 
 def test_report_keeps_the_largest_rank(monkeypatch):

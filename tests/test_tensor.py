@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 from fractions import Fraction
 
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apolar.linalg import mat_det, mat_rank
-from apolar.tensor import (DenseTensor, flatten, format_rational, gss_minor_test, matmul_tensor,
+from apolar.tensor import (MAX_ORDER, DenseTensor, flatten, format_rational, gss_minor_test,
+                           matmul_tensor,
                            multilinear_rank, parse_rational,
                            strassen_det_symbolic, strassen_matrix,
                            tensor_from_json, tensor_to_json)
 from oracles import (det_fraction_gauss, evaluate_terms, flat_position,
-                     flatten_by_multi_index, rank_fraction_gauss)
+                     flatten_by_multi_index, rank_fraction_gauss, strassen_det_memoized)
 
 
 def rand_rank_one(rng, shape, lo=-9, hi=9):
@@ -241,6 +243,31 @@ def test_symbolic_expansion_basics():
     assert sd.term_count == 9216
     assert sd.total_degree == 9
     assert all(sum(mono) == 9 for mono in sd.terms)
+
+
+def test_symbolic_expansion_matches_the_memoized_oracle():
+    assert strassen_det_symbolic().terms == strassen_det_memoized()
+
+
+def test_symbolic_expansion_peak_allocation():
+    # two levels of minors at a time, monomials packed into ints; the
+    # memoized expansion kept every level, with tuple monomials: 8.9 MB
+    tracemalloc.start()
+    try:
+        strassen_det_symbolic()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+def test_order_limit():
+    assert MAX_ORDER == 64
+    t = DenseTensor((2, 2, 2) + (1,) * 61, [1] * 8)
+    assert multilinear_rank(t) == (1,) * 64
+    assert (flatten(t, [64]).rows, flatten(t, [2, 3]).rows) == (1, 4)
+    with pytest.raises(ValueError, match="^tensor order 65 exceeds limit 64$"):
+        DenseTensor((1,) * 65, [1])
 
 
 def test_symbolic_expansion_specializes():
