@@ -7,11 +7,11 @@ fraction-free elimination, Bareiss style, so intermediate entries stay
 integral minors instead of exploding fractions; kernels and solves
 back-substitute through its echelon rows and return Fractions.
 
-Every rank is tried over GF(p) first (`modular`).  The rank mod p of an
-integer matrix never exceeds its rank over Q, which in turn never exceeds
-min(nonzero rows, nonzero columns) or a bound the caller has proved.  When
-the GF(p) rank meets that bound it is the exact rank, with a proof and no
+Ranks drop all-zero rows and columns first.  `mat_rank` then tries GF(p)
+(`modular`): a rank mod p never exceeds the rank over Q, which never exceeds
+min(rows, cols), so a GF(p) rank meeting that is exact, with a proof and no
 probability; otherwise Bareiss, the only elimination over Q, decides.
+`rank_int_rows` is Bareiss alone, for callers holding their own GF(p) rank.
 """
 
 from collections import namedtuple
@@ -134,33 +134,25 @@ def _back_substitute(echelon, pivots, cols, starts, rhs=None):
     return starts
 
 
-def _rank(int_rows, bound):
-    """Rank over Q of integer row lists, which are left unmutated.
-
-    The copy without all-zero rows and columns is the one eliminated.  Its
-    rational rank lies between its rank mod p and top = min(rows, cols,
-    bound), so a GF(p) rank equal to top is the rank; else Bareiss decides.
-    """
+def _strip(int_rows):
+    """(copy of the integer rows without all-zero rows and columns, its column count)."""
     cols = [j for j, column in enumerate(zip(*int_rows)) if any(column)]
-    work = [[row[j] for j in cols] for row in int_rows if any(row)]
-    top = min(len(work), len(cols))
-    if bound is not None:
-        top = min(top, bound)
-    if modular.rank_mod(work) == top:
-        return top
-    pivots, _ = _bareiss(work, len(cols))
-    return len(pivots)
+    return [[row[j] for j in cols] for row in int_rows if any(row)], len(cols)
 
 
 def mat_rank(matrix):
-    """Rank over the rationals."""
-    return _rank(_integer_rows(matrix)[0], None)
+    """Rank over the rationals: the GF(p) rank of the stripped integer rows
+    when it meets min(rows, cols) of them, else their Bareiss rank."""
+    work, cols = _strip(_integer_rows(matrix)[0])
+    top = min(len(work), cols)
+    if modular.rank_mod(work) == top:
+        return top
+    return len(_bareiss(work, cols)[0])
 
 
-def rank_int_rows(rows_of_ints, bound=None):
-    """Rank of a matrix given as lists of plain integers (not mutated);
-    `bound`, if given, must be a proven upper bound."""
-    return _rank(rows_of_ints, bound)
+def rank_int_rows(rows_of_ints):
+    """Bareiss rank of a matrix given as lists of plain integers (not mutated)."""
+    return len(_bareiss(*_strip(rows_of_ints))[0])
 
 
 def mat_det(matrix):

@@ -9,9 +9,9 @@ fold that adds each slot's bits above the 31st to its low 31 bits shrinks
 every slot of the pivot row at once and keeps its residue.  Only integer
 entries are accepted: a rational entry raises TypeError, not truncation.
 
-A rank mod p never exceeds the rational rank.  `linalg` and `secant` keep
-it as the exact rank when it meets a proven upper bound, and Bareiss decides
-otherwise; `--arithmetic modular` reports it as it is, a lower bound.
+A rank mod p never exceeds the rational rank.  `linalg.mat_rank` proves it
+exact when it meets min(rows, cols), `secant.defect_report` when it meets the
+bound + 1; `--arithmetic modular` reports it as it is, a lower bound.
 """
 
 from collections import namedtuple

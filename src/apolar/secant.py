@@ -13,9 +13,9 @@ bound is the published dimension of a classified defective case, and the
 expected dimension min(s*dim X + s - 1, N) everywhere else; no sample's rank
 exceeds that bound + 1.  A report takes up to TRIALS independent samples,
 keeps the largest rank seen, and stops at the first whose rank meets the
-bound, which certifies it.  A trial is ranked over GF(p) from residues built
-directly; a GF(p) rank meeting the bound + 1 is the rank, and only exact mode,
-when one falls short, builds the exact rows for `rank_int_rows`.
+bound, which certifies it.  A trial's one GF(p) rank, of residues built
+directly, is exact when it meets the bound + 1; on a shortfall, exact mode
+ranks the exact rows by Bareiss alone (`rank_int_rows`).
 """
 
 import sys
@@ -163,9 +163,8 @@ def defect_report(spec, s, seed=0, arithmetic=EXACT):
     """
     if not isinstance(spec, _MonomialMap):
         raise TypeError("unknown variety spec %r" % (spec,))
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    # bounded before ambient_dim, whose exact count can run to millions of digits
+    # bounded before ambient_dim, whose exact count can run to millions of
+    # digits; s < 1 makes the product <= 0, so expected_dim is what refuses it
     check_entries(chain((s * spec.rows_per_point,), spec.column_counts()), "tangent matrix")
     expected = expected_dim(spec, s)
     known = known_true_dim(spec, s)
@@ -176,7 +175,7 @@ def defect_report(spec, s, seed=0, arithmetic=EXACT):
         points = [spec.sample(rng) for _ in range(s)]
         rank = modular.rank_mod(spec.tangent_rows(points, modular.MODULUS))
         if arithmetic != MODULAR and rank <= upper:
-            rank = rank_int_rows(spec.tangent_rows(points), upper + 1)
+            rank = rank_int_rows(spec.tangent_rows(points))
         best = max(best, rank - 1)
         if best == upper:
             break

@@ -15,8 +15,8 @@ independently of the two ranks that `apolar.apolarity.sylvester_rank` asks.
 The pencil route expands the determinant top-down, memoizing minors on
 tuples of columns and monomials as exponent tuples, independently of the
 bottom-up, bit-packed expansion in `apolar.tensor`.  The Terracini route
-ranks every trial's exact tangent rows with `rank_int_rows`, as exact mode
-did before it ranked residues mod p first.
+ranks every trial's exact tangent rows by Bareiss alone (`rank_int_rows`),
+as exact mode did before it ranked residues mod p first.
 """
 
 from fractions import Fraction
@@ -316,7 +316,7 @@ def strassen_det_memoized():
 
 def exact_report_by_exact_rows(spec, s, seed):
     """The exact-mode DimReport of `secant.defect_report`, each trial ranking
-    its exact tangent rows with rank_int_rows under the proven bound + 1."""
+    its exact tangent rows by Bareiss alone with rank_int_rows."""
     expected = expected_dim(spec, s)
     known = known_true_dim(spec, s)
     upper = expected if known is None else known
@@ -324,7 +324,7 @@ def exact_report_by_exact_rows(spec, s, seed):
     for trial in range(TRIALS):
         rng = trial_rng(seed, trial)
         points = [spec.sample(rng) for _ in range(s)]
-        best = max(best, rank_int_rows(spec.tangent_rows(points), upper + 1) - 1)
+        best = max(best, rank_int_rows(spec.tangent_rows(points)) - 1)
         if best == upper:
             break
     return DimReport(spec=spec, computed_dim=best, expected_dim=expected,

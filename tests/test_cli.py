@@ -273,6 +273,17 @@ def test_empty_form_is_given(argv, message, capsys):
     assert run_cli(capsys, *argv) == (2, "", "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("argv", [
+    ["veronese", "--n", "1000000", "--d", "1000000", "--s=0"],
+    ["veronese", "--n", "1000000", "--d", "1000000", "--s=-1"],
+    ["segre", "--dims", "1,1", "--s=0"],
+], ids=["veronese-0", "veronese-negative", "segre-0"])
+def test_secant_dim_needs_a_positive_s(argv, capsys):
+    # the size guard passes s <= 0, and expected_dim refuses it before the
+    # ambient dimension of a huge Veronese is counted
+    assert run_cli(capsys, "secant-dim", *argv) == (2, "", "error: s must be at least 1\n")
+
+
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_result_too_long_to_print(output, capsys):
     # g(7152, 7152) has 4300 digits, the most str() converts by default

@@ -10,7 +10,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from apolar import modular, secant
+from apolar import linalg, modular, secant
 from apolar.linalg import QMatrix, check_entries, rank_int_rows
 from apolar.poly import HomogPoly, apolar_apply, monomial_basis
 from apolar.secant import (Segre, Veronese, big_waring_g, defect_report,
@@ -253,15 +253,15 @@ def test_report_keeps_the_best_of_all_trials(spec, s, seed):
 def test_trials_stop_at_the_expected_dimension(arithmetic, monkeypatch):
     # the loop stops once a trial meets the proven upper bound: the expected
     # dimension, or the tabulated one of a classified defective case.  Each
-    # trial makes one GF(p) rank call of its own, seen through the `modular`
-    # that secant holds; exact mode builds exact rows only for a trial short
-    # of the bound, whose rank_int_rows makes its own GF(p) call in linalg.
+    # trial makes one GF(p) rank call, seen through the `modular` that secant
+    # holds; exact mode builds exact rows only for a trial short of the bound,
+    # and rank_int_rows ranks them by Bareiss alone.
     calls, exact_calls = [], []
     rank_mod, rank_exact = modular.rank_mod, secant.rank_int_rows
     monkeypatch.setattr(secant, "modular", SimpleNamespace(
         MODULUS=modular.MODULUS, rank_mod=lambda rows: calls.append(1) or rank_mod(rows)))
     monkeypatch.setattr(secant, "rank_int_rows",
-                        lambda rows, bound: exact_calls.append(1) or rank_exact(rows, bound))
+                        lambda rows: exact_calls.append(1) or rank_exact(rows))
     exact = 1 if arithmetic == secant.EXACT else 0
     # Segre (1,1,1), s=2 meets its expected dimension 7 at the first sample
     assert defect_report(Segre((1, 1, 1)), 2, arithmetic=arithmetic).defect == 0
@@ -290,10 +290,25 @@ def test_exact_report_matches_the_exact_row_loop(spec, s, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(modular, "rank_mod", lambda rows: mod_calls.append(1) or rank_mod(rows) - 1)
         patch.setattr(secant, "rank_int_rows",
-                      lambda rows, bound: exact_calls.append(1) or rank_exact(rows, bound))
+                      lambda rows: exact_calls.append(1) or rank_exact(rows))
         assert defect_report(spec, s, seed) == want
-    # one call on residues and one inside rank_int_rows, every trial
-    assert exact_calls and len(mod_calls) == 2 * len(exact_calls)
+    # one GF(p) call per trial, on residues; rank_int_rows makes none
+    assert exact_calls and len(mod_calls) == len(exact_calls)
+
+
+@pytest.mark.parametrize("arithmetic, bareiss_calls", [(secant.EXACT, 3), (secant.MODULAR, 0)])
+def test_shortfall_runs_one_gfp_elimination_per_trial(arithmetic, bareiss_calls, monkeypatch):
+    # Segre (1,1,3), s=3 is defective but untabulated, so all three trials fall
+    # short of 15 + 1: each is ranked once over GF(p), and exact mode adds one
+    # Bareiss elimination of its exact rows, with no second GF(p) attempt
+    mod_calls, exact_calls = [], []
+    rank_mod, bareiss = modular.rank_mod, linalg._bareiss
+    monkeypatch.setattr(modular, "rank_mod", lambda rows: mod_calls.append(1) or rank_mod(rows))
+    monkeypatch.setattr(linalg, "_bareiss",
+                        lambda rows, cols: exact_calls.append(1) or bareiss(rows, cols))
+    report = defect_report(Segre((1, 1, 3)), 3, arithmetic=arithmetic)
+    assert (report.computed_dim, report.certified) == (14, False)
+    assert (len(mod_calls), len(exact_calls)) == (3, bareiss_calls)
 
 
 @pytest.mark.parametrize("arithmetic", [secant.EXACT, secant.MODULAR])
@@ -336,7 +351,7 @@ def test_certified_report_peak_allocation(arithmetic):
 def test_report_keeps_the_largest_rank(monkeypatch):
     # a special sample can rank below a later one; the largest rank counts
     ranks = iter([13, 15, 14])
-    monkeypatch.setattr(secant, "rank_int_rows", lambda rows, bound=None: next(ranks))
+    monkeypatch.setattr(secant, "rank_int_rows", lambda rows: next(ranks))
     assert defect_report(Segre((1, 1, 3)), 3).computed_dim == 14
 
 
