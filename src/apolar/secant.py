@@ -7,7 +7,9 @@ the row space of the map's Jacobian there, so by Terracini's lemma the
 dimension of the s-th secant variety is one less than the rank of the
 Jacobians stacked at s general points.  Points are sampled with integer
 coordinates uniform in [1, 2^16] in an affine chart of each factor (last
-coordinate 1); the resulting rank is a lower bound for the generic secant
+coordinate 1), and a sample's s points are distinct: a repeated point adds no
+rank, so it is drawn again, and an s beyond the chart's 2^(16 dim X) points
+takes them all.  The resulting rank is a lower bound for the generic secant
 dimension and agrees with it off a proper closed locus.  The proven upper
 bound is the published dimension of a classified defective case, and the
 expected dimension min(s*dim X + s - 1, N) everywhere else; no sample's rank
@@ -156,8 +158,8 @@ def expected_dim(spec, s):
 def defect_report(spec, s, seed=0, arithmetic=EXACT):
     """Computed vs expected dimension of the s-th secant of a Veronese or Segre.
 
-    Each trial stacks the tangent rows at s points sampled from its own
-    derived generator; the report keeps the largest rank minus one, and
+    Each trial stacks the tangent rows at s distinct points sampled from its
+    own derived generator; the report keeps the largest rank minus one, and
     stops at the first trial that reaches the proven upper bound `upper`,
     which certifies it.
     """
@@ -169,10 +171,14 @@ def defect_report(spec, s, seed=0, arithmetic=EXACT):
     expected = expected_dim(spec, s)
     known = known_true_dim(spec, s)
     upper = expected if known is None else known
+    # a repeated point adds no rank; the chart has 2^16 values per coordinate
+    distinct = min(s, 1 << 16 * spec.variety_dim)
     best = -1
     for trial in range(TRIALS):
         rng = trial_rng(seed, trial)
-        points = [spec.sample(rng) for _ in range(s)]
+        points = {}  # distinct, in the order drawn
+        while len(points) < distinct:
+            points[tuple(spec.sample(rng))] = None
         rank = modular.rank_mod(spec.tangent_rows(points, modular.MODULUS))
         if arithmetic != MODULAR and rank <= upper:
             rank = rank_int_rows(spec.tangent_rows(points))

@@ -12,7 +12,9 @@ For 3x3x3 tensors the antisymmetric 9x9 pencil built from the first-mode
 slices has rank 2 on rank-one tensors and is additive, so its rank bounds
 twice the tensor rank from above and its determinant (degree 9, and 9216
 monomials when expanded generically) vanishes on every tensor of rank at
-most 4.
+most 4.  The generic determinant is expanded by Laplace along its three
+block rows, 3x3 minor by 3x3 minor, with monomials packed into ints until
+they are popped, one by one, into the exponent tuples of the result.
 """
 
 import re
@@ -155,37 +157,58 @@ SymbolicDet = namedtuple("SymbolicDet", "terms term_count total_degree")
 _HEX_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
+def _laplace(strips):
+    """Generalized Laplace expansion by strips of rows, the lowest first.
+
+    Each strip, and the result, maps a column set (a bit mask) to the
+    nonzero minor on those columns, {packed monomial: coefficient}.  The
+    running minors are popped as the next strip's level is built from them.
+    """
+    minors = {0: {0: 1}}
+    for strip in strips:
+        level = {}
+        while minors:
+            used, terms = minors.popitem()
+            for mask, block in strip.items():
+                if used & mask:
+                    continue
+                # (-1)^(pairs of a used column before a new one)
+                flip = sum((used & (1 << c) - 1).bit_count()
+                           for c in range(9) if mask >> c & 1) % 2
+                out = level.setdefault(used | mask, {})
+                for step, factor in block.items():
+                    if flip:
+                        factor = -factor
+                    for mono, coeff in terms.items():
+                        key = mono + step
+                        total = out.get(key, 0) + factor * coeff
+                        if total:
+                            out[key] = total
+                        elif key in out:
+                            del out[key]
+        minors = level
+    return minors
+
+
 def strassen_det_symbolic():
     """Expand the generic pencil determinant.
 
-    Cofactor expansion from the last row up: level k holds the nonzero
-    minors on the last k rows, keyed by their column set as a bit mask, and
-    is dropped once level k + 1 is built from it.  While expanding, a
-    monomial is an int with 4 bits per variable (no exponent exceeds 9).
+    Laplace expansion by the three block rows, from the last up, each a
+    strip of its 3x3 minors; a diagonal block is zero, so each block row has
+    20 column triples with a nonzero minor.  A monomial is an int with 4
+    bits per variable (no exponent exceeds 9) until the expansion is popped,
+    term by term, into exponent tuples, so one copy of the 9216 terms is
+    live at a time.
     """
-    minors = {0: {0: 1}}
-    for row in reversed(_pencil_structure()):
-        level = {}
-        for cols, terms in minors.items():
-            for c, cell in enumerate(row):
-                if cell is None or cols >> c & 1:
-                    continue
-                sign, var = cell
-                if (cols & (1 << c) - 1).bit_count() % 2:  # columns before c
-                    sign = -sign
-                step = 1 << 4 * var
-                out = level.setdefault(cols | 1 << c, {})
-                for mono, coeff in terms.items():
-                    key = mono + step
-                    total = out.get(key, 0) + sign * coeff
-                    if total:
-                        out[key] = total
-                    elif key in out:
-                        del out[key]
-        minors = level
+    cells = [{1 << c: {1 << 4 * cell[1]: cell[0]} for c, cell in enumerate(row) if cell}
+             for row in _pencil_structure()]
+    blocks = [_laplace(reversed(cells[top:top + 3])) for top in (6, 3, 0)]
+    _, packed = _laplace(blocks).popitem()
     # each hex digit of a packed monomial is one exponent, variable 26 first
-    terms = {tuple(("%027x" % mono).encode().translate(_HEX_DIGITS)[::-1]): coeff
-             for mono, coeff in minors[(1 << 9) - 1].items()}
+    terms = {}
+    while packed:
+        mono, coeff = packed.popitem()
+        terms[tuple(("%027x" % mono).encode().translate(_HEX_DIGITS)[::-1])] = coeff
     return SymbolicDet(terms, len(terms), max(sum(m) for m in terms))
 
 

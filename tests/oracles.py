@@ -316,14 +316,19 @@ def strassen_det_memoized():
 
 def exact_report_by_exact_rows(spec, s, seed):
     """The exact-mode DimReport of `secant.defect_report`, each trial ranking
-    its exact tangent rows by Bareiss alone with rank_int_rows."""
+    its exact tangent rows by Bareiss alone with rank_int_rows.  A trial's s
+    points are distinct, or all 2^(16 dim X) points of the chart if fewer."""
     expected = expected_dim(spec, s)
     known = known_true_dim(spec, s)
     upper = expected if known is None else known
     best = -1
     for trial in range(TRIALS):
         rng = trial_rng(seed, trial)
-        points = [spec.sample(rng) for _ in range(s)]
+        points = []
+        while len(points) < min(s, 2 ** (16 * spec.variety_dim)):
+            point = spec.sample(rng)
+            if point not in points:
+                points.append(point)
         best = max(best, rank_int_rows(spec.tangent_rows(points)) - 1)
         if best == upper:
             break

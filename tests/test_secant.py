@@ -312,6 +312,45 @@ def test_shortfall_runs_one_gfp_elimination_per_trial(arithmetic, bareiss_calls,
 
 
 @pytest.mark.parametrize("arithmetic", [secant.EXACT, secant.MODULAR])
+def test_repeated_point_is_drawn_again(arithmetic, monkeypatch):
+    # 200 points on the degree-399 rational normal curve: at seed 0, trial 0
+    # draws only 198 distinct ones, whose rows span at most 396 < 399 + 1.
+    # Drawing again on a repeat, 200 distinct points certify it with one
+    # GF(p) rank.
+    spec = Veronese(1, 399)
+    rng = trial_rng(0, 0)
+    assert len({tuple(spec.sample(rng)) for _ in range(200)}) < 200
+    mod_calls = []
+    rank_mod = modular.rank_mod
+
+    def refuse(rows):
+        raise AssertionError("exact rows ranked")
+
+    monkeypatch.setattr(modular, "rank_mod", lambda rows: mod_calls.append(1) or rank_mod(rows))
+    monkeypatch.setattr(secant, "rank_int_rows", refuse)
+    report = defect_report(spec, 200, seed=0, arithmetic=arithmetic)
+    assert (report.computed_dim, report.certified) == (399, True)
+    assert len(mod_calls) == 1
+
+
+def test_sample_larger_than_the_chart_takes_the_whole_chart(monkeypatch):
+    # the chart of P^1 has 2^16 points, fewer than s = 70000: a trial stops
+    # drawing once it has all of them, which already span every tangent row
+    drawn = []
+    tangent_rows = secant._MonomialMap.tangent_rows
+
+    def spy(self, points, modulus=None):
+        drawn.append(points)
+        return tangent_rows(self, points, modulus)
+
+    monkeypatch.setattr(secant._MonomialMap, "tangent_rows", spy)
+    report = defect_report(Veronese(1, 1), 70000)
+    assert (report.computed_dim, report.certified) == (1, True)
+    assert len(drawn) == 1
+    assert len(set(map(tuple, drawn[0]))) == len(drawn[0]) == 1 << 16
+
+
+@pytest.mark.parametrize("arithmetic", [secant.EXACT, secant.MODULAR])
 def test_huge_degree_veronese_ranks_residues_only(arithmetic, monkeypatch):
     # a 2 x 2001 tangent matrix whose exact entries run to 2000 * 16 bits:
     # every entry ranked is a residue, and no exact row is built
