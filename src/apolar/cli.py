@@ -12,16 +12,13 @@ import io
 import json
 import sys
 
-from .apolarity import (catalecticant, decompose_check, hilbert_function,
-                        monomial_rank, perp_piece, quadratic_rank,
-                        sylvester_rank)
 from .linalg import check_entries, mat_det, mat_rank
 from .poly import (MAX_DEGREE, MAX_VARS, HomogPoly, format_rational,
                    monomial_count, parse_int, parse_poly, render_poly)
 from .seeding import TRIALS, random_coefficients, trial_rng
 
-# fixtures, secant and tensor are imported by the commands that use them, so
-# the other commands neither compile nor run them
+# apolarity, fixtures, secant and tensor are imported by the commands that use
+# them, so the other commands neither compile nor run them
 
 # Every apolar input error is a ValueError, as is json.JSONDecodeError.
 _INPUT_ERRORS = (ValueError, OSError)
@@ -195,6 +192,7 @@ def _dim_report_result(args, report):
 
 
 def _cmd_rank(args):
+    from .apolarity import monomial_rank, quadratic_rank, sylvester_rank
     if args.kind == "binary":
         form = parse_poly(args.form, 2)
         cert = sylvester_rank(form)
@@ -212,6 +210,7 @@ def _cmd_rank(args):
 
 
 def _cmd_perp(args):
+    from .apolarity import perp_piece
     form = parse_poly(args.form, args.vars)
     basis = perp_piece(form, args.t)
     result = {"t": args.t, "dimension": len(basis),
@@ -220,6 +219,7 @@ def _cmd_perp(args):
 
 
 def _cmd_hilbert(args):
+    from .apolarity import hilbert_function
     if args.generic:
         if args.form is not None:
             raise ValueError("--form and --generic are mutually exclusive")
@@ -242,6 +242,7 @@ def _cmd_hilbert(args):
 
 
 def _cmd_catalecticant(args):
+    from .apolarity import catalecticant
     form = parse_poly(args.form, args.vars)
     cat = catalecticant(form, args.t)
     result = _matrix_payload(cat.matrix)
@@ -251,6 +252,7 @@ def _cmd_catalecticant(args):
 
 
 def _cmd_decompose_check(args):
+    from .apolarity import decompose_check
     form = parse_poly(args.form, args.vars)
     points = []
     for chunk in args.points.split(";"):

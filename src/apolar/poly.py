@@ -18,28 +18,29 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm, prod
+from operator import sub
 
 MAX_VARS = 16
 MAX_DEGREE = 64
 
 
 def _sub_exponents(gamma, t):
-    """(beta, gamma - beta) for each beta <= gamma of degree t, beta in
-    graded-lex order with x0 largest."""
-    partial = [((), (), t)]
-    room = sum(gamma)
-    for g in gamma:
+    """Each beta <= gamma of degree t, graded-lex with x0 largest, lazily: the last
+    exponent is what is left of t, and an empty gamma gives () for t = 0 alone."""
+    if not gamma:
+        return iter(((),) if t == 0 else ())
+    partial, room = [((), t)], sum(gamma)
+    for g in gamma[:-1]:
         room -= g
-        partial = [(beta + (b,), alpha + (g - b,), left - b)
-                   for beta, alpha, left in partial
+        partial = [(beta + (b,), left - b) for beta, left in partial
                    for b in range(min(g, left), max(0, left - room) - 1, -1)]
-    return [(beta, alpha) for beta, alpha, _ in partial]
+    return (beta + (left,) for beta, left in partial if 0 <= left <= room)
 
 
 @lru_cache(maxsize=None)
 def monomial_basis(num_vars, degree):
-    """Exponent tuples of the given degree, graded-lex, x0 largest."""
-    return tuple(beta for beta, _ in _sub_exponents((degree,) * num_vars, degree))
+    """The tuple of _sub_exponents((degree,) * num_vars, degree): graded-lex, x0 largest."""
+    return tuple(_sub_exponents((degree,) * num_vars, degree))
 
 
 def monomial_count(num_vars, degree):
@@ -245,11 +246,10 @@ def power_linear(coefficients, degree):
 
 
 def monomial_derivatives(gamma, t):
-    """(beta, gamma - beta, gamma!/(gamma - beta)!) for each beta <= gamma of degree t:
-    y^beta applied to x^gamma is gamma!/(gamma - beta)! * x^(gamma - beta), and 0
-    unless beta <= gamma."""
-    return [(beta, alpha, prod(map(perm, gamma, beta)))
-            for beta, alpha in _sub_exponents(gamma, t)]
+    """(beta, alpha, gamma!/alpha!) for each beta <= gamma of degree t, alpha = gamma - beta:
+    y^beta applied to x^gamma is gamma!/alpha! * x^alpha, and 0 unless beta <= gamma."""
+    return [(beta, tuple(map(sub, gamma, beta)), prod(map(perm, gamma, beta)))
+            for beta in _sub_exponents(gamma, t)]
 
 
 def apolar_apply(operator, target):

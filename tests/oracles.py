@@ -5,7 +5,8 @@ pivots (Gauss-Jordan), independently of the fraction-free Bareiss kernel
 that `apolar.linalg` runs, or entry by entry mod p, independently of the
 packed-row kernel in `apolar.modular`.  The polynomial routes multiply,
 evaluate and differentiate sparse term maps {exponent tuple: coefficient}
-term by term.  The
+term by term, and enumerate exponent tuples by filtering a whole box of
+them, independently of the prefix-by-prefix enumerator in `apolar.poly`.  The
 Segre tangent route builds rank-one tensors, independently of the Jacobian
 that `apolar.secant` evaluates.  The flattening route reads a tensor entry
 by entry at full multi-indices, independently of the strided offsets that
@@ -144,11 +145,12 @@ def det_fraction_gauss(matrix):
     return det
 
 
-def _exponent_tuples(num_vars, degree):
-    """Exponent tuples of the given degree, largest first in lexicographic
-    order, which is the graded-lex order with x0 largest."""
-    return sorted((m for m in product(range(degree + 1), repeat=num_vars)
-                   if sum(m) == degree), reverse=True)
+def sub_exponents_by_product(gamma, t):
+    """Every beta <= gamma of degree t, filtered from the whole box
+    product(range(g + 1) for g in gamma) and sorted largest first in
+    lexicographic order, which is the graded-lex order with x0 largest."""
+    return sorted((beta for beta in product(*(range(g + 1) for g in gamma))
+                   if sum(beta) == t), reverse=True)
 
 
 def _partial(terms, var):
@@ -165,9 +167,9 @@ def catalecticant_by_partials(terms, num_vars, degree, t):
     """Row lists of the degree-t catalecticant of the term map: column beta
     is the coefficient vector of d^beta F, differentiated beta_i times in
     each variable x_i, one partial at a time."""
-    rows = _exponent_tuples(num_vars, degree - t)
+    rows = sub_exponents_by_product((degree - t,) * num_vars, degree - t)
     columns = []
-    for beta in _exponent_tuples(num_vars, t):
+    for beta in sub_exponents_by_product((t,) * num_vars, t):
         image = dict(terms)
         for var, times in enumerate(beta):
             for _ in range(times):

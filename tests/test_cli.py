@@ -365,12 +365,14 @@ _FORM_COMMANDS = [
     ["hilbert", "--form", "x0*x1^2"],
     ["perp", "--form", "x0*x1^2", "--t", "2"],
     ["catalecticant", "--form", "1/2*x0^2*x1", "--t", "1"],
+    ["decompose-check", "--form", "x0*x1*x2", "--points", "1,1,1;1,1,-1;1,-1,1;-1,1,1"],
     ["rank", "binary", "--form", "x0*x1^2"],
     ["rank", "monomial", "--exponents", "1,1,1"],
     ["rank", "quadratic", "--form", "x0^2+x1^2"],
     ["ah-g", "--n", "2", "--d", "4"],
     ["secant-dim", "veronese", "--n", "2", "--d", "4", "--s", "5"],
     ["secant-dim", "segre", "--dims", "1,1,1", "--s", "2", "--arithmetic", "modular"],
+    ["tensor", "matmul", "--n", "2"],
 ]
 
 
@@ -391,10 +393,13 @@ def _apolar_modules_after(argv, cwd):
 @pytest.mark.parametrize("argv", _FORM_COMMANDS, ids=[" ".join(a[:2]) for a in _FORM_COMMANDS])
 def test_form_and_secant_commands_skip_fixtures_and_tensor(argv, tmp_path):
     # each command imports only the modules it runs: paper-fixtures alone
-    # needs apolar.fixtures, and the tensor commands alone apolar.tensor
+    # needs apolar.fixtures, the tensor commands alone apolar.tensor, and
+    # neither the secant commands nor the tensor commands apolar.apolarity
     code, modules = _apolar_modules_after(argv, tmp_path)
     assert code == 0, modules
-    assert "apolar.fixtures" not in modules and "apolar.tensor" not in modules
+    assert "apolar.fixtures" not in modules
+    assert ("apolar.tensor" in modules) == (argv[0] == "tensor")
+    assert ("apolar.apolarity" in modules) == (argv[0] not in ("secant-dim", "ah-g", "tensor"))
     if argv[0] == "hilbert":
         assert "apolar.secant" not in modules
 

@@ -6,6 +6,7 @@ falling-factorial shortcut used by the library.
 """
 
 import random
+import tracemalloc
 
 from fractions import Fraction
 from math import factorial
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from apolar.linalg import QMatrix, mat_rank
-from apolar.poly import (HomogPoly, apolar_apply, canonical_point, monomial_basis, parse_poly,
-                         power_linear, render_poly)
-from oracles import evaluate_terms, poly_product
+from apolar.poly import (HomogPoly, _sub_exponents, apolar_apply, canonical_point,
+                         monomial_basis, monomial_count, parse_poly, power_linear, render_poly)
+from oracles import evaluate_terms, poly_product, sub_exponents_by_product
 
 
 def diff_once(terms, var):
@@ -55,6 +56,39 @@ def rand_poly(rng, num_vars, degree, bound=9):
 def test_monomial_order_matches_documented_basis():
     assert monomial_basis(3, 2) == ((2, 0, 0), (1, 1, 0), (1, 0, 1),
                                     (0, 2, 0), (0, 1, 1), (0, 0, 2))
+
+
+def test_monomial_basis_without_variables():
+    # no variables: the empty monomial has degree 0, and no monomial has degree >= 1
+    assert monomial_basis(0, 0) == ((),)
+    assert monomial_basis(0, 3) == ()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 6), max_size=6).map(tuple), st.integers(0, 6))
+@example((), 0)
+def test_sub_exponents_match_the_box_filter(gamma, d):
+    for t in range(-1, sum(gamma) + 2):
+        betas = _sub_exponents(gamma, t)
+        assert iter(betas) is betas   # an iterator, not a stored list
+        assert list(betas) == sub_exponents_by_product(gamma, t)
+    if gamma:   # monomial_count is comb(n - 1 + d, d), for n >= 1 only
+        assert len(monomial_basis(len(gamma), d)) == monomial_count(len(gamma), d)
+
+
+def test_monomial_basis_peak_allocation():
+    # the last exponent of each monomial is generated, not stored with its
+    # prefix, so the peak is 1.85 times the basis it keeps
+    monomial_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        basis = monomial_basis(2, 100000)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        monomial_basis.cache_clear()
+    assert len(basis) == 100001
+    assert peak < 2.5 * retained
 
 
 def test_parse_examples():
