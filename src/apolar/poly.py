@@ -45,6 +45,8 @@ def monomial_basis(num_vars, degree):
 
 def monomial_count(num_vars, degree):
     """len(monomial_basis(num_vars, degree)), without enumerating it."""
+    if num_vars == degree == 0:
+        return 1  # the empty monomial
     return comb(num_vars - 1 + degree, degree)
 
 

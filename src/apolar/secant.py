@@ -23,7 +23,6 @@ ranks the exact rows by Bareiss alone (`rank_int_rows`).
 import sys
 from array import array
 from collections import namedtuple
-from functools import cache
 from itertools import chain, product
 from math import comb, prod
 
@@ -34,27 +33,6 @@ from .seeding import TRIALS, random_point, trial_rng
 
 EXACT = "exact"
 MODULAR = "modular"
-
-
-@cache
-def _tangent_plan(blocks):
-    """(stride, columns, lowered, entries) for the Jacobian of the map.
-
-    stride is the top degree + 1; columns x^E run in itertools.product order
-    over the blocks' monomial bases.  lowered holds each distinct x^(E - e_v)
-    once, as indices u * stride + exponent; entries lists, column by column,
-    (v, column, E[v], index in lowered) for each v with E[v] > 0.
-    """
-    stride = max(d for _, d in blocks) + 1
-    lowered, entries = {}, []
-    for j, parts in enumerate(product(*(monomial_basis(c, d) for c, d in blocks))):
-        exps = sum(parts, ())
-        for v, e in enumerate(exps):
-            if e:
-                low = exps[:v] + (e - 1,) + exps[v + 1:]
-                low = tuple(u * stride + f for u, f in enumerate(low) if f)
-                entries.append((v, j, e, lowered.setdefault(low, len(lowered))))
-    return stride, j + 1, tuple(lowered), tuple(entries)
 
 
 class _MonomialMap:
@@ -88,28 +66,43 @@ class _MonomialMap:
     def tangent_rows(self, points, modulus=None):
         """Jacobian of the map at each point, one row per coordinate.
 
-        Entry (v, j) is E_j[v] * x^(E_j - e_v).  Each distinct lowered monomial
-        is evaluated once per point from a table of powers of its coordinates,
-        so an entry is one multiply and zero coordinates need no division.
-        Given a modulus below 2^32, every value is a residue mod it and each
-        row an array("I"); else each row is a list of exact ints.
+        Entry (v, j) is E_j[v] * x^(E_j - e_v), for the columns x^(E_j) in
+        itertools.product order over the blocks' monomial bases.  One walk
+        over the columns fills every point's rows: the first time a lowered
+        monomial x^(E - e_v) appears, it is evaluated at every point from
+        that point's table of powers of its coordinates, and kept for the
+        rest of the call, so an entry is one multiply and zero coordinates
+        need no division.  Given a modulus below 2^32, every value is a
+        residue mod it and each row an array("I"); else each row is a list
+        of exact ints.
         """
-        stride, columns, lowered, entries = _tangent_plan(self.blocks)
-        rows = []
-        for pt in points:
-            if modulus is None:
-                powers = [x ** f for x in pt for f in range(stride)]
-                values = [prod([powers[i] for i in low]) for low in lowered]
-                block = [[0] * columns for _ in pt]
-                for v, j, e, k in entries:
-                    block[v][j] = e * values[k]
-            else:
-                powers = [pow(x, f, modulus) for x in pt for f in range(stride)]
-                values = [prod([powers[i] for i in low]) % modulus for low in lowered]
-                block = [array("I", [0]) * columns for _ in pt]
-                for v, j, e, k in entries:
-                    block[v][j] = e * values[k] % modulus
-            rows.extend(block)
+        stride = max(d for _, d in self.blocks) + 1
+        columns, width = self.ambient_dim + 1, self.rows_per_point
+        tables = [[pow(x, f, modulus) for x in pt for f in range(stride)] for pt in points]
+        zero = [0] if modulus is None else array("I", [0])
+        rows = [zero * columns for _ in range(width * len(tables))]
+        by_var = [rows[v::width] for v in range(width)]
+        # a monomial's key holds u * stride + exponent for each coordinate u it has
+        lowered = {}  # key of x^(E - e_v) -> its value at each point
+        for j, parts in enumerate(product(*(monomial_basis(c, d) for c, d in self.blocks))):
+            column = tuple(u * stride + f for u, f in enumerate(sum(parts, ())) if f)
+            for k, i in enumerate(column):
+                v, e = divmod(i, stride)
+                key = column[:k] + (i - 1,) * (e > 1) + column[k + 1:]  # x_v^0 leaves the key
+                values = lowered.get(key)
+                if values is None:
+                    if modulus is None:
+                        values = [prod(map(table.__getitem__, key)) for table in tables]
+                    else:
+                        values = array("I", [prod(map(table.__getitem__, key)) % modulus
+                                             for table in tables])
+                    lowered[key] = values
+                if modulus is None:
+                    for row, x in zip(by_var[v], values):
+                        row[j] = e * x
+                else:
+                    for row, x in zip(by_var[v], values):
+                        row[j] = e * x % modulus
         return rows
 
 

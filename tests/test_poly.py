@@ -72,8 +72,7 @@ def test_sub_exponents_match_the_box_filter(gamma, d):
         betas = _sub_exponents(gamma, t)
         assert iter(betas) is betas   # an iterator, not a stored list
         assert list(betas) == sub_exponents_by_product(gamma, t)
-    if gamma:   # monomial_count is comb(n - 1 + d, d), for n >= 1 only
-        assert len(monomial_basis(len(gamma), d)) == monomial_count(len(gamma), d)
+    assert len(monomial_basis(len(gamma), d)) == monomial_count(len(gamma), d)
 
 
 def test_monomial_basis_peak_allocation():

@@ -132,23 +132,29 @@ def test_tangent_rows_match_oracles(data):
 @pytest.mark.parametrize("blocks", [((2, 1),), ((3, 4),), ((5, 6),), ((5, 8),),
                                     ((2, 1), (2, 1)), ((3, 1), (4, 1), (4, 1)),
                                     ((2, 1), (3, 1), (2, 1), (5, 1))])
-def test_tangent_plan_stores_each_lowered_monomial_once(blocks):
-    stride, columns, lowered, entries = secant._tangent_plan(blocks)
-    exponents = []
-    for low in lowered:
-        e = [0] * sum(c for c, _ in blocks)
-        for i in low:
-            e[i // stride] = i % stride
-        exponents.append(tuple(e))
-    assert len(set(exponents)) == len(lowered)
-    if len(blocks) == 1:  # Veronese: every monomial of degree d - 1, once
+def test_tangent_rows_evaluate_each_lowered_monomial_once(blocks, monkeypatch):
+    # each distinct x^(E - e_v) is one prod per point, however many entries
+    # share it: the monomials of degree d - 1 for a Veronese, one coordinate
+    # from every block but one for a Segre
+    if len(blocks) == 1:
         (c, d), = blocks
-        assert len(lowered) == comb(c + d - 2, d - 1)
-        assert set(exponents) == set(monomial_basis(c, d - 1))
-    else:  # Segre: one coordinate from every block but one
-        assert len(lowered) == sum(prod(c for c, _ in blocks) // c for c, _ in blocks)
-    assert columns == prod(comb(c - 1 + d, d) for c, d in blocks)
-    assert {k for *_, k in entries} == set(range(len(lowered)))
+        spec, lowered = Veronese(c - 1, d), comb(c + d - 2, d - 1)
+    else:
+        spec = Segre(tuple(c - 1 for c, _ in blocks))
+        lowered = sum(prod(c for c, _ in blocks) // c for c, _ in blocks)
+    rng = random.Random(7)
+    points = [spec.sample(rng) for _ in range(3)]
+    calls = []
+    monkeypatch.setattr(secant, "prod", lambda xs: calls.append(1) or prod(xs))
+
+    def prods(pts, modulus):
+        calls.clear()
+        spec.tangent_rows(pts, modulus)
+        return len(calls)
+
+    for modulus in (None, modular.MODULUS):
+        # with no point, only the column count calls prod
+        assert prods(points, modulus) - prods([], modulus) == lowered * len(points)
 
 
 def test_sample_concatenates_affine_charts():
@@ -376,7 +382,6 @@ def test_certified_report_peak_allocation(arithmetic):
     # Veronese (4,6), s=42: 210 x 210 tangent rows of residues, 4 bytes
     # each, where exact rows of ints up to 83 bits traced 2.1 MB or more
     spec = Veronese(4, 6)
-    secant._tangent_plan(spec.blocks)
     tracemalloc.start()
     try:
         report = defect_report(spec, 42, arithmetic=arithmetic)
