@@ -1,13 +1,19 @@
-"""Rank over GF(p) for the one prime p = 2^31 - 1, in pure Python.
+"""Rank over GF(p) for the one prime p = 2^k - 1, k = 19, in pure Python.
 
 Each row of residues is packed into one int, a fixed-width slot per column
-(at most 72 bits below 1024 pivots), so clearing a column below the pivot is
-one big-int multiply-add per row, by a multiplier of one CPython digit: h
-times the pivot row negated when h < 2^30, else (p - h) times the pivot row.
-No slot carries into the next.  As p is a Mersenne prime, 2^31 = 1 mod p: a
-fold that adds each slot's bits above the 31st to its low 31 bits shrinks
-every slot of the pivot row at once and keeps its residue.  Only integer
-entries are accepted: a rational entry raises TypeError, not truncation.
+of w = 8 * ceil((2k + bitlen m) / 8) bits for m = min(rows, cols) (48 bits
+from 4 to 1023 pivots), so clearing a column below the pivot is one big-int
+multiply-add per row, by a multiplier of one CPython digit: h times the
+pivot row negated when h < 2^(k-1), else (p - h) times the pivot row.  No
+slot carries into the next.  As p is a Mersenne prime, 2^k = 1 mod p: a fold
+that adds each slot's bits above the k-th to its low k bits shrinks every
+slot of the pivot row at once and keeps its residue.  Only integer entries
+are accepted: a rational entry raises TypeError, not truncation.
+
+p is the smallest Mersenne prime above 2^16, the range of sampled
+coordinates, so distinct sample points stay distinct mod p, and above every
+exponent of a Veronese of P^1 that the size guard admits, so every Jacobian
+factor is a unit mod p.
 
 A rank mod p never exceeds the rational rank.  `linalg.mat_rank` proves it
 exact when it meets min(rows, cols), `secant.defect_report` when it meets the
@@ -17,7 +23,8 @@ bound + 1; `--arithmetic modular` reports it as it is, a lower bound.
 from collections import namedtuple
 from struct import Struct, error as StructError
 
-MODULUS = (1 << 31) - 1  # Mersenne prime 2^31 - 1
+MODULUS = (1 << 19) - 1  # Mersenne prime 2^19 - 1
+_K = MODULUS.bit_length()  # 2^k = 1 mod p
 
 # rows[i] holds the residue of entry (i, j) in bits [j * width, (j + 1) * width)
 Packed = namedtuple("Packed", "rows cols width size")
@@ -29,8 +36,9 @@ def reduce_matrix(rows_of_entries):
     cols = len(rows_of_entries[0]) if rows else 0
     if not cols:
         return Packed([], 0, 0, 0)
-    # a residue plus m = min(rows, cols) products below 2^61 each, one bit spare
-    width = 8 * -(-(62 + min(rows, cols).bit_length()) // 8)
+    # a residue plus m = min(rows, cols) updates below 2^(2k-1) (1 + 2^(1-k))
+    # each stays below 2^(2k + bitlen m), with one bit spare
+    width = 8 * -(-(2 * _K + min(rows, cols).bit_length()) // 8)
     pack = Struct("<" + "I%dx" % (width // 8 - 4) * cols).pack
     try:
         packed = [int.from_bytes(pack(*[e % MODULUS for e in row]), "little")
@@ -46,10 +54,10 @@ def rank_mod(rows_of_entries):
     if not rows:
         return 0
     low, high = (int.from_bytes(mask.to_bytes(width // 8, "little") * cols, "little")
-                 for mask in (MODULUS, (1 << width - 31) - 1))
+                 for mask in (MODULUS, (1 << width - _K) - 1))
 
     def fold(x):
-        return (x & low) + ((x >> 31) & high)
+        return (x & low) + ((x >> _K) & high)
 
     rank = 0
     for c in range(cols):
@@ -63,15 +71,17 @@ def rank_mod(rows_of_entries):
                 break
         else:
             continue
-        # Two folds take each slot below 2^31 + 2^(width-61), scaling keeps it below
-        # 2^63, and two more leave it <= 2^31 + 1, leading 1 mod p (-1 in `negative`).
+        # Two folds take each slot below 2^k + 2^(w-2k) + 1, scaling by a residue
+        # keeps it below 2^(2k+1) <= 2^w (as w <= 3k for every m < 2^18), and two
+        # more leave it <= 2^k + 1, leading 1 mod p (-1 in `negative`).  So an
+        # update by a multiplier below 2^(k-1) adds below 2^(2k-1) (1 + 2^(1-k)).
         pivot = fold(fold(rows.pop(i)))
         pivot = fold(fold(pivot * pow((pivot & below) >> shift, MODULUS - 2, MODULUS)))
         negative = fold(fold(pivot * (MODULUS - 1)))
         rank += 1
         for i, row in enumerate(rows):
             h = ((row & below) >> shift) % MODULUS
-            if h >> 30:
+            if h >> _K - 1:
                 rows[i] = row + (MODULUS - h) * pivot
             elif h:
                 rows[i] = row + h * negative

@@ -23,8 +23,9 @@ ranks the exact rows by Bareiss alone (`rank_int_rows`).
 import sys
 from array import array
 from collections import namedtuple
-from itertools import chain, product
+from itertools import accumulate, chain, product, repeat
 from math import comb, prod
+from operator import mul
 
 from . import modular
 from .linalg import check_entries, rank_int_rows
@@ -70,15 +71,17 @@ class _MonomialMap:
         itertools.product order over the blocks' monomial bases.  One walk
         over the columns fills every point's rows: the first time a lowered
         monomial x^(E - e_v) appears, it is evaluated at every point from
-        that point's table of powers of its coordinates, and kept for the
-        rest of the call, so an entry is one multiply and zero coordinates
-        need no division.  Given a modulus below 2^32, every value is a
-        residue mod it and each row an array("I"); else each row is a list
-        of exact ints.
+        that point's table of powers of its coordinates (each power the one
+        before it times the coordinate), and kept for the rest of the call,
+        so an entry is one multiply and zero coordinates need no division.
+        Given a modulus below 2^32, every value is a residue mod it and each
+        row an array("I"); else each row is a list of exact ints.
         """
         stride = max(d for _, d in self.blocks) + 1
         columns, width = self.ambient_dim + 1, self.rows_per_point
-        tables = [[pow(x, f, modulus) for x in pt for f in range(stride)] for pt in points]
+        step = mul if modulus is None else lambda y, x: y * x % modulus
+        tables = [[y for x in pt for y in accumulate(repeat(x, stride - 1), step, initial=1)]
+                  for pt in points]
         zero = [0] if modulus is None else array("I", [0])
         rows = [zero * columns for _ in range(width * len(tables))]
         by_var = [rows[v::width] for v in range(width)]

@@ -492,7 +492,7 @@ _EARLY_OR_UNHONOURED_FLAGS = [
      "--seed goes after the subcommand word"),
     (["tensor", "--output", "json", "matmul", "--n", "2"],
      "--output goes after the subcommand word"),
-    # modular mode works mod 2^31 - 1 only; there is no modulus to choose
+    # modular mode works mod 2^19 - 1 only; there is no modulus to choose
     (["secant-dim", "veronese", "--n", "2", "--d", "2", "--s", "2",
       "--arithmetic", "modular", "--modulus", "10"],
      "unrecognized arguments: --modulus 10"),

@@ -8,8 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apolar import modular
-from apolar.linalg import QMatrix, mat_rank
+from apolar.linalg import QMatrix, check_entries, mat_rank
+from apolar.secant import Veronese
 from oracles import rank_mod_gauss
+
+# the largest B with (2B)^4 < p: by Hadamard a minor of order k <= 4 with
+# |entries| <= B is at most (B sqrt(k))^k <= (2B)^4 in absolute value
+_HADAMARD_ENTRY = max(b for b in range(1, 1 << 8) if (2 * b) ** 4 < modular.MODULUS)
 
 
 def rand_rows(rng, n, m, lo=-99, hi=99):
@@ -18,10 +23,10 @@ def rand_rows(rng, n, m, lo=-99, hi=99):
 
 @st.composite
 def small_rank_matrices(draw):
-    """Integer matrices with |entries| <= 99 and min(rows, cols) <= 4."""
+    """Integer matrices with |entries| <= _HADAMARD_ENTRY and min(rows, cols) <= 4."""
     short, long = draw(st.integers(1, 4)), draw(st.integers(1, 8))
     rows, cols = (short, long) if draw(st.booleans()) else (long, short)
-    entry = st.integers(-99, 99)
+    entry = st.integers(-_HADAMARD_ENTRY, _HADAMARD_ENTRY)
     return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                          min_size=rows, max_size=rows))
 
@@ -29,9 +34,10 @@ def small_rank_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(small_rank_matrices())
 def test_rank_mod_equals_exact_below_hadamard_bound(rows):
-    # Every minor has order k <= 4, so by Hadamard |minor| <= (99 sqrt(k))^k
-    # <= 198^4 = 1,536,953,616 < p = 2^31 - 1: no nonzero minor vanishes mod
-    # p, and the GF(p) rank is the rational rank, not just a lower bound.
+    # Every minor has order k <= 4, so |minor| <= (2 * 13)^4 = 456,976 < p =
+    # 2^19 - 1: no nonzero minor vanishes mod p, and the GF(p) rank is the
+    # rational rank, not just a lower bound.
+    assert _HADAMARD_ENTRY == 13
     assert modular.rank_mod(rows) == mat_rank(QMatrix.from_rows(rows))
 
 
@@ -56,11 +62,23 @@ def test_fraction_entries_rejected():
         modular.rank_mod([[Fraction(1, 2), 4], [1, 8]])
 
 
-def test_modulus_is_the_mersenne_prime_2_31_minus_1():
+def test_modulus_is_a_mersenne_prime_above_samples_and_admitted_exponents():
     p = modular.MODULUS
-    assert p == 2 ** 31 - 1  # the pivot row fold uses 2^31 = 1 mod p
-    assert 46340 ** 2 < p < 46341 ** 2
-    assert all(p % k for k in range(2, 46341))
+    assert p & (p + 1) == 0  # p + 1 = 2^k, and the pivot row fold uses 2^k = 1 mod p
+    assert 724 ** 2 < p < 725 ** 2
+    assert all(p % k for k in range(2, 725))
+    # distinct coordinates sampled from [1, 2^16] stay distinct mod p
+    assert p > 1 << 16
+    # the size guard admits the degree-499999 Veronese of P^1 and refuses the
+    # next, so every Jacobian factor E_v <= 499999 is a unit mod p
+    def tangent_entries(d, s=1):
+        spec = Veronese(1, d)  # sized only, nothing built
+        return check_entries([s * spec.rows_per_point, *spec.column_counts()], "tangent")
+
+    assert tangent_entries(499999) == 2 * 500000
+    with pytest.raises(ValueError):
+        tangent_entries(500000)
+    assert 499999 < p
 
 
 def _entry(rng):
@@ -106,7 +124,7 @@ def test_rank_mod_equals_scalar_elimination(rows):
 @pytest.mark.parametrize("tall", [False, True])
 def test_rank_deficient_on_either_side_of_a_slot_width_step(short, long, tall):
     # min(rows, cols) 127 and 128 differ in bit length, which sets the slot
-    # width; both pack 72-bit slots
+    # width; both pack 48-bit slots
     p = modular.MODULUS
     rng = random.Random(short)
     data = [[_entry(rng) for _ in range(long)] for _ in range(short)]
@@ -115,16 +133,17 @@ def test_rank_deficient_on_either_side_of_a_slot_width_step(short, long, tall):
     data[short - 1] = [-x for x in data[3]]
     if tall:
         data = [list(column) for column in zip(*data)]
-    assert modular.reduce_matrix(data).width == 72
+    assert modular.reduce_matrix(data).width == 48
     assert modular.rank_mod(data) == rank_mod_gauss(data, p) == short - 3
 
 
 @pytest.mark.parametrize("m, width", [
-    (1, 64), (3, 64), (4, 72), (127, 72), (128, 72), (1023, 72), (1024, 80)])
+    (1, 40), (3, 40), (4, 48), (127, 48), (128, 48), (1023, 48), (1024, 56)])
 def test_slot_width_steps_at_1024_pivots(m, width):
-    # a slot stays below 2^31 + m * 2^61 < 2^(61 + bitlen m); with one bit
-    # spare that is 64 bits up to m = 3 and 72 up to 1023.  The m x m matrix
-    # of one shared zero row is only reduced, never eliminated.
+    # a slot stays below 2^19 + m * 2^37 (1 + 2^-18) < 2^(37 + bitlen m); with
+    # one bit spare that is 40 bits up to m = 3, 48 up to 1023 and 56 from
+    # 1024.  The m x m matrix of one shared zero row is only reduced, never
+    # eliminated.
     assert modular.reduce_matrix([[0] * m] * m).width == width
 
 
@@ -146,10 +165,10 @@ def test_rank_of_a_mixed_trapezoid_at_realistic_size(tall):
         c = rng.randrange(p)
         data[a] = [x + c * y for x, y in zip(data[a], data[b])]
     rng.shuffle(data)
-    # the first pivot clears rows with residues h below 2^30, through
-    # `negative`, and at least 2^30, through `pivot`
+    # the first pivot clears rows with residues h below 2^18, through
+    # `negative`, and at least 2^18, through `pivot`
     heads = [h for h in (row[leads[0]] % p for row in data) if h]
-    assert {h >> 30 for h in heads[1:]} == {0, 1}
+    assert {h >> 18 for h in heads[1:]} == {0, 1}
     if tall:
         data = [list(column) for column in zip(*data)]
     assert modular.rank_mod(data) == rank
