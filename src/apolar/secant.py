@@ -30,7 +30,7 @@ from operator import mul
 from . import modular
 from .linalg import check_entries, rank_int_rows
 from .poly import monomial_basis
-from .seeding import TRIALS, random_point, trial_rng
+from .seeding import CHART_BOUND, TRIALS, random_point, trial_rng
 
 EXACT = "exact"
 MODULAR = "modular"
@@ -129,6 +129,7 @@ class Segre(_MonomialMap, namedtuple("Segre", "dims")):
     __slots__ = ()
 
     def __new__(cls, dims):
+        dims = tuple(dims)  # hashable, so the table of defective cases can look it up
         if not dims or any(n < 1 for n in dims):
             raise ValueError("need at least one factor, every factor dimension >= 1")
         return super().__new__(cls, dims)
@@ -167,8 +168,8 @@ def defect_report(spec, s, seed=0, arithmetic=EXACT):
     expected = expected_dim(spec, s)
     known = known_true_dim(spec, s)
     upper = expected if known is None else known
-    # a repeated point adds no rank; the chart has 2^16 values per coordinate
-    distinct = min(s, 1 << 16 * spec.variety_dim)
+    # a repeated point adds no rank; the chart has CHART_BOUND values per coordinate
+    distinct = min(s, CHART_BOUND ** spec.variety_dim)
     best = -1
     for trial in range(TRIALS):
         rng = trial_rng(seed, trial)
@@ -192,7 +193,7 @@ def terracini_dim_veronese(n, d, s, seed=0, arithmetic=EXACT):
 
 def terracini_dim_segre(dims, s, seed=0, arithmetic=EXACT):
     """Dimension report for the s-th secant of a Segre product."""
-    return defect_report(Segre(tuple(dims)), s, seed, arithmetic)
+    return defect_report(Segre(dims), s, seed, arithmetic)
 
 
 # Alexander-Hirschowitz: the (n, d) with d >= 3 whose generic rank exceeds

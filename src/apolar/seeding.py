@@ -13,6 +13,8 @@ _COEFF_BOUND = 1000
 # upper bound may come from a special sample, so another is drawn.  Every
 # report envelope records it, whatever the command.
 TRIALS = 3
+# sampled chart coordinates are uniform in [1, CHART_BOUND]
+CHART_BOUND = 1 << 16
 
 
 def splitmix64(state):
@@ -40,8 +42,8 @@ def trial_rng(master_seed, index):
 
 
 def random_point(rng, num_coords):
-    """Affine-chart sample: coordinates uniform in [1, 2^16], last one 1."""
-    return [rng.randint(1, 1 << 16) for _ in range(num_coords - 1)] + [1]
+    """Affine-chart sample: coordinates uniform in [1, CHART_BOUND], last one 1."""
+    return [rng.randint(1, CHART_BOUND) for _ in range(num_coords - 1)] + [1]
 
 
 def random_coefficients(rng, count):

@@ -8,13 +8,13 @@ lexicographically with the listed modes in ascending order, which pins the
 matrix layout bit for bit.  Entry (row, col) is the tensor entry at the
 row's offset plus the column's, each a sum of strided indices.
 
-For 3x3x3 tensors the antisymmetric 9x9 pencil built from the first-mode
-slices has rank 2 on rank-one tensors and is additive, so its rank bounds
-twice the tensor rank from above and its determinant (degree 9, and 9216
-monomials when expanded generically) vanishes on every tensor of rank at
-most 4.  The generic determinant is expanded by Laplace along its three
-block rows, 3x3 minor by 3x3 minor, with monomials packed into ints until
-they are popped, one by one, into the exponent tuples of the result.
+For a 3x3x3 tensor with first-mode slices T0, T1, T2 the pencil is the 9x9
+block matrix [[0, T0, -T1], [-T0, 0, T2], [T1, -T2, 0]], the table `_PENCIL`.
+It has rank 2 on rank-one tensors and is linear in the tensor, so its rank
+bounds twice the tensor rank from above and its determinant, of degree 9,
+vanishes on every tensor of rank at most 4.  Expanded generically, as the
+determinant of the pencil of the tensor whose entry k is variable k, it has
+9216 terms.
 """
 
 import re
@@ -115,29 +115,20 @@ def matmul_tensor(n):
     return DenseTensor((m, m, m), entries)
 
 
-# block pattern: (block row, block col) -> (sign, first-mode slice)
-_BLOCKS = {
-    (0, 1): (1, 0), (0, 2): (-1, 1),
-    (1, 0): (-1, 0), (1, 2): (1, 2),
-    (2, 0): (1, 1), (2, 1): (-1, 2),
-}
+# the pencil's 3x3 blocks, each (sign, first-mode slice); None on the diagonal
+_PENCIL = (
+    (None, (1, 0), (-1, 1)),
+    ((-1, 0), None, (1, 2)),
+    ((1, 1), (-1, 2), None),
+)
 
 
-def _pencil_structure():
-    """The 9x9 pencil, cell by cell: None for a structural zero, else
-    (sign, flat tensor position 9a + 3b + c) of the entry it carries."""
-    structure = []
-    for r in range(9):
-        row = []
-        for c in range(9):
-            cell = _BLOCKS.get((r // 3, c // 3))
-            if cell is None:
-                row.append(None)
-            else:
-                sign, a = cell
-                row.append((sign, 9 * a + 3 * (r % 3) + (c % 3)))
-        structure.append(row)
-    return structure
+def _pencil_rows(entries):
+    """The 9 rows of the pencil of the tensor with these 27 flat entries: cell
+    (3i + b, 3j + c) is sign * entries[9a + 3b + c] for block (i, j) = (sign, a)."""
+    return [[0 if block is None else block[0] * entries[9 * block[1] + 3 * b + c]
+             for block in blocks for c in range(3)]
+            for blocks in _PENCIL for b in range(3)]
 
 
 def strassen_matrix(tensor):
@@ -145,9 +136,7 @@ def strassen_matrix(tensor):
     QMatrix; its rank and determinant come from mat_rank and mat_det."""
     if tensor.shape != (3, 3, 3):
         raise ValueError("3x3x3 tensor required, got %r" % (tensor.shape,))
-    rows = [[Fraction(0) if cell is None else cell[0] * tensor.entries[cell[1]]
-             for cell in row] for row in _pencil_structure()]
-    return QMatrix.from_rows(rows)
+    return QMatrix.from_rows(_pencil_rows(tensor.entries))
 
 
 # Expanded determinant of the generic slice pencil, 27 indeterminates: terms
@@ -200,8 +189,9 @@ def strassen_det_symbolic():
     term by term, into exponent tuples, so one copy of the 9216 terms is
     live at a time.
     """
-    cells = [{1 << c: {1 << 4 * cell[1]: cell[0]} for c, cell in enumerate(row) if cell}
-             for row in _pencil_structure()]
+    # the generic tensor: entry k is variable k, the packed monomial 1 << 4k
+    cells = [{1 << c: {abs(e): e // abs(e)} for c, e in enumerate(row) if e}
+             for row in _pencil_rows([1 << 4 * k for k in range(27)])]
     blocks = [_laplace(reversed(cells[top:top + 3])) for top in (6, 3, 0)]
     _, packed = _laplace(blocks).popitem()
     # each hex digit of a packed monomial is one exponent, variable 26 first

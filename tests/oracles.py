@@ -13,9 +13,10 @@ by entry at full multi-indices, independently of the strided offsets that
 `apolar.tensor.flatten` sums.  The Sylvester route searches the annihilator
 degree by degree and tests square-freeness by a resultant's value,
 independently of the two ranks that `apolar.apolarity.sylvester_rank` asks.
-The pencil route expands the determinant top-down, memoizing minors on
-tuples of columns and monomials as exponent tuples, independently of the
-bottom-up, bit-packed expansion in `apolar.tensor`.  The Terracini route
+The pencil route reads its own block table of the pencil and expands the
+determinant top-down, memoizing minors on tuples of columns and monomials
+as exponent tuples, independently of the table and the bottom-up,
+bit-packed expansion in `apolar.tensor`.  The Terracini route
 ranks every trial's exact tangent rows by Bareiss alone (`rank_int_rows`),
 as exact mode did before it ranked residues mod p first.
 """
@@ -28,7 +29,7 @@ from apolar.linalg import QMatrix, mat_det, rank_int_rows
 from apolar.poly import HomogPoly
 from apolar.secant import DimReport, expected_dim, known_true_dim
 from apolar.seeding import TRIALS, trial_rng
-from apolar.tensor import DenseTensor, _pencil_structure
+from apolar.tensor import DenseTensor
 
 
 def _row_lists(matrix):
@@ -279,11 +280,30 @@ def sylvester_rank_by_kernels(binary_form):
     raise AssertionError("annihilator of a degree-%d form has a generator by degree d+1" % d)
 
 
+# Strassen's pencil [[0, T0, -T1], [-T0, 0, T2], [T1, -T2, 0]] of the
+# first-mode slices T_a: (block row, block col) -> (sign, a)
+PENCIL_BLOCKS = {
+    (0, 1): (1, 0), (0, 2): (-1, 1),
+    (1, 0): (-1, 0), (1, 2): (1, 2),
+    (2, 0): (1, 1), (2, 1): (-1, 2),
+}
+
+
+def pencil_cell(r, c):
+    """Cell (r, c) of the 9x9 pencil: None in a diagonal block, else (sign,
+    flat tensor position 9a + 3b + c') of the slice entry T_a[b][c'] it holds."""
+    block = PENCIL_BLOCKS.get((r // 3, c // 3))
+    if block is None:
+        return None
+    sign, a = block
+    return sign, flat_position((3, 3, 3), (a, r % 3, c % 3))
+
+
 def strassen_det_memoized():
     """Terms {exponent tuple: coefficient} of the generic pencil determinant,
     by cofactor expansion from the first row down, minors memoized on the
     tuple of surviving columns."""
-    structure = _pencil_structure()
+    structure = [[pencil_cell(r, c) for c in range(9)] for r in range(9)]
     memo = {}
 
     def minor(cols):

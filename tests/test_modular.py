@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apolar import modular
+from apolar import modular, seeding
 from apolar.linalg import QMatrix, check_entries, mat_rank
 from apolar.secant import Veronese
 from oracles import rank_mod_gauss
@@ -67,8 +67,8 @@ def test_modulus_is_a_mersenne_prime_above_samples_and_admitted_exponents():
     assert p & (p + 1) == 0  # p + 1 = 2^k, and the pivot row fold uses 2^k = 1 mod p
     assert 724 ** 2 < p < 725 ** 2
     assert all(p % k for k in range(2, 725))
-    # distinct coordinates sampled from [1, 2^16] stay distinct mod p
-    assert p > 1 << 16
+    # distinct coordinates sampled from [1, CHART_BOUND] stay distinct mod p
+    assert p > seeding.CHART_BOUND
     # the size guard admits the degree-499999 Veronese of P^1 and refuses the
     # next, so every Jacobian factor E_v <= 499999 is a unit mod p
     def tangent_entries(d, s=1):

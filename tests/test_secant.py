@@ -76,6 +76,16 @@ def test_specs_validate_and_compare_by_value():
             build(*args)
 
 
+def test_segre_dims_given_as_a_list_are_kept_as_a_tuple():
+    # the defective-case table is keyed by the dims tuple: a list once built a
+    # spec whose report raised TypeError (unhashable type: 'list')
+    for dims, s in (([1, 1], 2), ([1, 1, 1, 1], 3)):
+        spec = Segre(dims)
+        assert spec == Segre(tuple(dims)) and type(spec.dims) is tuple
+        assert defect_report(spec, s) == defect_report(Segre(tuple(dims)), s)
+    assert defect_report(Segre([1, 1, 1, 1]), 3).computed_dim == 13
+
+
 def test_veronese_tangent_rows_examples():
     # row i: the x_i-partials of the graded-lex monomials at the point
     got = Veronese(2, 2).tangent_rows([[1, 0, 0]])

@@ -16,7 +16,8 @@ from apolar.tensor import (MAX_ORDER, DenseTensor, flatten, format_rational, gss
                            strassen_det_symbolic, strassen_matrix,
                            tensor_from_json, tensor_to_json)
 from oracles import (det_fraction_gauss, evaluate_terms, flat_position,
-                     flatten_by_multi_index, rank_fraction_gauss, strassen_det_memoized)
+                     flatten_by_multi_index, pencil_cell, rank_fraction_gauss,
+                     strassen_det_memoized)
 
 
 def rand_rank_one(rng, shape, lo=-9, hi=9):
@@ -207,6 +208,15 @@ def test_pencil_structure_and_rank_two():
             assert m.at(6 + i, j) == -m.at(i, 6 + j)
             assert m.at(6 + i, 3 + j) == -m.at(3 + i, 6 + j)
     assert mat_rank(m) == 2
+    # distinct entries, so a cell reading the wrong slice, row, column or
+    # sign differs from the oracle's own block table
+    t = DenseTensor((3, 3, 3), range(1, 28))
+    m = strassen_matrix(t)
+    assert (m.rows, m.cols) == (9, 9)
+    for r in range(9):
+        for c in range(9):
+            cell = pencil_cell(r, c)
+            assert m.at(r, c) == (0 if cell is None else cell[0] * t.entries[cell[1]])
 
 
 def test_pencil_additivity_and_rank_bound():
