@@ -1,14 +1,31 @@
 """Rank over GF(p) for the one prime p = 2^k - 1, k = 19, in pure Python.
 
-Each row of residues is packed into one int, a fixed-width slot per column
-of w = 8 * ceil((2k + bitlen m) / 8) bits for m = min(rows, cols) (48 bits
-from 4 to 1023 pivots), so clearing a column below the pivot is one big-int
-multiply-add per row, by a multiplier of one CPython digit: h times the
-pivot row negated when h < 2^(k-1), else (p - h) times the pivot row.  No
-slot carries into the next.  As p is a Mersenne prime, 2^k = 1 mod p: a fold
-that adds each slot's bits above the k-th to its low k bits shrinks every
-slot of the pivot row at once and keeps its residue.  Only integer entries
-are accepted: a rational entry raises TypeError, not truncation.
+Each row is packed into one int, a fixed-width slot per column of
+w = 8 * ceil((2k + bitlen m) / 8) bits for m = min(rows, cols) (48 bits from 4
+to 1023 pivots), column 0 in the top slot and the last column in the bottom
+one.  Rows are converted in blocks of about 2^14 entries, one C-level
+conversion each: entries in [0, 2^32) are packed as they are, so residues
+cost no work, and only a block holding an entry outside that range is
+reduced mod p entry by entry.  A slot then starts below 2^32 and stays below
+2^32 + m 2^37 (1 + 2^-18) < 2^(2k + bitlen m), one bit spare.  Clearing a
+column below the pivot is one big-int multiply-add per row, by a multiplier
+of one CPython digit: h times the pivot row negated when h < 2^(k-1), else
+(p - h) times the pivot row.  No slot carries into the next.  As p is a
+Mersenne prime, 2^k = 1 mod p: a fold that adds each slot's bits above the
+k-th to its low k bits shrinks every slot of the pivot row at once and keeps
+its residue.  Only integer entries are accepted: a rational entry raises
+TypeError, not truncation.
+
+Elimination runs from the bottom slot up, the last column first.  A row joins
+the active rows at its lowest nonzero slot, its last nonzero column; until
+then it is neither scanned nor shifted, and when no row is active the kernel
+jumps to the slot of the next waiting row.  Tangent rows of a Veronese have
+zeros on every monomial free of their variable, the last columns in
+graded-lex order, so most of them join late.  Active rows keep their original
+order and each column's pivot is the earliest one nonzero there mod p, which
+is the earliest row of the matrix nonzero there.  So every row stays its
+original plus multiples of earlier rows, and the pivot rows are the greedy row
+basis: the rows independent of the rows before them.
 
 p is the smallest Mersenne prime above 2^16, the range of sampled
 coordinates, so distinct sample points stay distinct mod p, and above every
@@ -20,38 +37,62 @@ exact when it meets min(rows, cols), `secant.defect_report` when it meets the
 bound + 1; `--arithmetic modular` reports it as it is, a lower bound.
 """
 
+from array import array
+from bisect import bisect
 from collections import namedtuple
-from struct import Struct, error as StructError
+from sys import byteorder
 
 MODULUS = (1 << 19) - 1  # Mersenne prime 2^19 - 1
 _K = MODULUS.bit_length()  # 2^k = 1 mod p
 
-# rows[i] holds the residue of entry (i, j) in bits [j * width, (j + 1) * width)
+# rows[i] holds entry (i, j), or a value congruent to it, in slot cols - 1 - j:
+# bits [(cols - 1 - j) * width, (cols - j) * width)
 Packed = namedtuple("Packed", "rows cols width size")
 
 
 def reduce_matrix(rows_of_entries):
-    """Reduce an integer matrix to packed rows of residues mod p."""
+    """Pack an integer matrix into rows of values below 2^32 congruent to it mod p."""
     rows = len(rows_of_entries)
     cols = len(rows_of_entries[0]) if rows else 0
     if not cols:
         return Packed([], 0, 0, 0)
-    # a residue plus m = min(rows, cols) updates below 2^(2k-1) (1 + 2^(1-k))
+    # a start below 2^32 plus m = min(rows, cols) updates below 2^(2k-1) (1 + 2^(1-k))
     # each stays below 2^(2k + bitlen m), with one bit spare
     width = 8 * -(-(2 * _K + min(rows, cols).bit_length()) // 8)
-    pack = Struct("<" + "I%dx" % (width // 8 - 4) * cols).pack
-    try:
-        packed = [int.from_bytes(pack(*[e % MODULUS for e in row]), "little")
-                  for row in rows_of_entries]
-    except StructError:
-        raise TypeError("GF(p) rank needs integer entries") from None
+    step = width // 8
+    line = step * cols
+    packed = []
+    # about 2^14 entries at a time: few conversions, and the buffers stay small
+    # beside the packed rows (a whole 462 x 462 matrix at once raised the peak
+    # resident memory of its rank by 2.5 MiB)
+    chunk = max(1, (1 << 14) // cols)
+    for top in range(0, rows, chunk):
+        block = rows_of_entries[top:top + chunk]
+        flat = array("I")
+        try:
+            try:
+                for row in block:
+                    flat.extend(row)
+            except (OverflowError, TypeError):  # an entry outside [0, 2^32), or a row of another kind
+                flat = array("I", [e % MODULUS for row in block for e in row])
+        except TypeError:
+            raise TypeError("GF(p) rank needs integer entries") from None
+        if byteorder == "little":
+            flat.byteswap()
+        # each entry big-endian in the low 4 bytes of its slot, read as one
+        # big-endian row, puts column 0 in the top slot
+        entry = flat.tobytes()
+        slots = bytearray(step * len(flat))
+        for b in range(4):
+            slots[step - 4 + b::step] = entry[b::4]
+        packed += [int.from_bytes(slots[i:i + line], "big") for i in range(0, len(slots), line)]
     return Packed(packed, cols, width, rows * cols)
 
 
 def rank_mod(rows_of_entries):
     """Rank of the integer matrix over GF(p); a lower bound for the rational rank."""
-    rows, cols, width, _ = reduce_matrix(rows_of_entries)
-    if not rows:
+    packed, cols, width, _ = reduce_matrix(rows_of_entries)
+    if not packed:
         return 0
     low, high = (int.from_bytes(mask.to_bytes(width // 8, "little") * cols, "little")
                  for mask in (MODULUS, (1 << width - _K) - 1))
@@ -59,32 +100,45 @@ def rank_mod(rows_of_entries):
     def fold(x):
         return (x & low) + ((x >> _K) & high)
 
-    rank = 0
-    for c in range(cols):
-        if c and not c % 16:  # drop dead low slots, so reading a slot stays cheap
-            for i, row in enumerate(rows):
-                rows[i] = row >> 16 * width
-        shift = c % 16 * width
+    # (lowest nonzero slot, index, row) of each nonzero row, to be popped in order
+    pending = sorted(((((row & -row).bit_length() - 1) // width, i, row)
+                      for i, row in enumerate(packed) if row), reverse=True)
+    del packed  # a row is held once: waiting, then shifted among the active rows
+    order, rows = [], []  # original indices and rows of the active rows, in that order
+    rank = c = base = 0  # at slot c; the active rows have dropped their lowest base slots
+    while c < cols and (rows or pending):
+        if not rows:
+            c = pending[-1][0]
+        if c - base >= 16:  # drop dead low slots, so reading a slot stays cheap
+            for at, row in enumerate(rows):
+                rows[at] = row >> (c - base) * width
+            base = c
+        while pending and pending[-1][0] == c:
+            _, i, row = pending.pop()
+            at = bisect(order, i)
+            order.insert(at, i)
+            rows.insert(at, row >> base * width)
+        shift = (c - base) * width
         below = (1 << shift + width) - 1
-        for i, row in enumerate(rows):
+        c += 1
+        for at, row in enumerate(rows):
             if ((row & below) >> shift) % MODULUS:
                 break
         else:
             continue
+        del order[at]
         # Two folds take each slot below 2^k + 2^(w-2k) + 1, scaling by a residue
         # keeps it below 2^(2k+1) <= 2^w (as w <= 3k for every m < 2^18), and two
         # more leave it <= 2^k + 1, leading 1 mod p (-1 in `negative`).  So an
         # update by a multiplier below 2^(k-1) adds below 2^(2k-1) (1 + 2^(1-k)).
-        pivot = fold(fold(rows.pop(i)))
+        pivot = fold(fold(rows.pop(at)))
         pivot = fold(fold(pivot * pow((pivot & below) >> shift, MODULUS - 2, MODULUS)))
         negative = fold(fold(pivot * (MODULUS - 1)))
         rank += 1
-        for i, row in enumerate(rows):
+        for at, row in enumerate(rows):
             h = ((row & below) >> shift) % MODULUS
             if h >> _K - 1:
-                rows[i] = row + (MODULUS - h) * pivot
+                rows[at] = row + (MODULUS - h) * pivot
             elif h:
-                rows[i] = row + h * negative
-        if not rows:
-            break
+                rows[at] = row + h * negative
     return rank

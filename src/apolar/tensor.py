@@ -20,7 +20,8 @@ determinant of the pencil of the tensor whose entry k is variable k, it has
 import re
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
+from math import prod
 from operator import mul
 
 from .linalg import QMatrix, check_entries, mat_rank
@@ -91,15 +92,32 @@ def multilinear_rank(tensor):
 
 
 def gss_minor_test(tensor, r):
-    """True iff every single-mode flattening has rank at most r.
+    """True iff every flattening has rank at most r.
 
-    Equivalently all (r+1)-minors of the flattenings vanish; a necessary
-    condition for the tensor to lie in the r-th secant of the rank-one
-    locus.
+    Equivalently all (r+1)-minors of the flattenings of every bipartition of
+    the modes vanish, the Garcia-Stillman-Sturmfels equations; a necessary
+    condition for the tensor to lie in the r-th secant of the rank-one locus.
+    A mode of extent 1 changes no flattening and a flattening with a side of
+    at most r indices passes by its shape, so neither is built.  The work, one
+    flattening of all the entries per bipartition, is sized before any is built.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    return all(rk <= r for rk in multilinear_rank(tensor))
+    shape = tensor.shape
+    if len(shape) < 2:
+        raise ValueError("multilinear rank needs order at least 2")
+    size = len(tensor.entries)
+    # each bipartition once, by its side holding the first mode of extent > 1
+    modes = [m for m, d in enumerate(shape, 1) if d > 1]
+    first, rest = tuple(modes[:1]), modes[1:]
+    check_entries(((1 << len(rest)) - 1, size), "flattenings")
+    for k in range(len(rest)):
+        for others in combinations(rest, k):
+            left = first + others
+            rows = prod(shape[m - 1] for m in left)
+            if min(rows, size // rows) > r and mat_rank(flatten(tensor, left)) > r:
+                return False
+    return True
 
 
 def matmul_tensor(n):

@@ -2,6 +2,7 @@
 
 import random
 
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,64 @@ def test_rank_mod_equals_scalar_elimination(rows):
     assert modular.rank_mod(rows) == rank_mod_gauss(rows, modular.MODULUS)
 
 
+def _profile_entry(rng):
+    """Nonzero as an integer: small, negative, in [p, 2^32), at least 2^32 or a
+    multiple of p (zero mod p, but a nonzero slot until reduced)."""
+    p = modular.MODULUS
+    return rng.choice([rng.randint(1, 9), rng.randint(-2 ** 40, -1), rng.randint(p, 2 ** 32 - 1),
+                       rng.randint(2 ** 32, 2 ** 70), p * rng.randint(1, 8191)])
+
+
+@st.composite
+def zero_profile_matrices(draw):
+    """Up to 12 x 12 rows, each nonzero only in one band of columns: staircases,
+    where the row order follows the bands, and shuffled bands.  Bands include the
+    first or last column alone, and rows may be all zero."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    bands = []
+    for _ in range(rows):
+        kind = rng.randrange(5)
+        if kind == 0:
+            bands.append((0, 1))
+        elif kind == 1:
+            bands.append((cols - 1, cols))
+        elif kind == 2:
+            bands.append((0, 0))
+        else:
+            start = rng.randrange(cols)
+            bands.append((start, rng.randint(start + 1, cols)))
+    # in a staircase the rows end in column order, so read from the last column
+    # they join one at a time, often once every active row is a pivot
+    if draw(st.booleans()):
+        bands.sort(key=lambda band: (band[1], band[0]))
+    return [[_profile_entry(rng) if start <= j < stop else 0 for j in range(cols)]
+            for start, stop in bands]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(zero_profile_matrices())
+def test_rank_mod_follows_the_zero_profile(rows):
+    # rank_mod runs from the last column to the first, and a row joins at its
+    # last nonzero column: rows ending early wait, and when every active row is
+    # a pivot the kernel jumps to the next row still waiting
+    assert modular.rank_mod(rows) == rank_mod_gauss(rows, modular.MODULUS)
+
+
+def test_blocks_packed_as_they_are_and_reduced_give_one_rank():
+    # 400 x 100 is packed in blocks of 163 rows.  Row 200, in the middle block,
+    # is negative, so only that block is reduced mod p; the others, array rows
+    # like Terracini residues, are packed as they are, entries up to 2^30.
+    rng = random.Random(400)
+    base = [[rng.randrange(1 << 20) for _ in range(100)] for _ in range(60)]
+    data = [[sum(c * x for c, x in zip(coeffs, column)) for column in zip(*base)]
+            for coeffs in ([rng.randrange(16) for _ in range(60)] for _ in range(400))]
+    data[200] = [-x for x in data[100]]
+    assert 1 << 27 < max(map(max, data)) < 1 << 30
+    packed = [row if i == 200 else array("I", row) for i, row in enumerate(data)]
+    assert modular.rank_mod(packed) == rank_mod_gauss(data, modular.MODULUS) == 60
+
+
 @pytest.mark.parametrize("short, long", [(127, 130), (128, 130)])
 @pytest.mark.parametrize("tall", [False, True])
 def test_rank_deficient_on_either_side_of_a_slot_width_step(short, long, tall):
@@ -140,10 +199,10 @@ def test_rank_deficient_on_either_side_of_a_slot_width_step(short, long, tall):
 @pytest.mark.parametrize("m, width", [
     (1, 40), (3, 40), (4, 48), (127, 48), (128, 48), (1023, 48), (1024, 56)])
 def test_slot_width_steps_at_1024_pivots(m, width):
-    # a slot stays below 2^19 + m * 2^37 (1 + 2^-18) < 2^(37 + bitlen m); with
-    # one bit spare that is 40 bits up to m = 3, 48 up to 1023 and 56 from
-    # 1024.  The m x m matrix of one shared zero row is only reduced, never
-    # eliminated.
+    # a slot starts below 2^32 (an entry packed as it is) and stays below
+    # 2^32 + m * 2^37 (1 + 2^-18) < 2^(37 + bitlen m); with one bit spare that
+    # is 40 bits up to m = 3, 48 up to 1023 and 56 from 1024.  The m x m matrix
+    # of one shared zero row is only reduced, never eliminated.
     assert modular.reduce_matrix([[0] * m] * m).width == width
 
 

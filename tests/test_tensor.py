@@ -1,5 +1,6 @@
 """Tensors: flattenings, minors, the matrix-multiplication cube, the pencil."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -161,6 +162,51 @@ def test_gss_examples():
     assert not gss_minor_test(two, 1)
     any_cube = rand_sum(rng, (3, 3, 3), 5)
     assert gss_minor_test(any_cube, 3)  # flattenings are 3 x 9
+
+
+def test_gss_checks_every_bipartition_flattening():
+    # 4 terms in 2x2x2x2: every single-mode flattening is 2 x 8, so rank <= 2,
+    # but the 4 x 4 flattening of modes {1, 2} has rank 4
+    rng = random.Random(7)
+    t = tensor_from_json({"rank_one_sum": [
+        {"factors": [[rng.randint(-9, 9) for _ in range(2)] for _ in range(4)]}
+        for _ in range(4)]})
+    assert multilinear_rank(t) == (2, 2, 2, 2)
+    assert mat_rank(flatten(t, [1, 2])) == 4
+    assert not gss_minor_test(t, 2) and not gss_minor_test(t, 3)
+    assert gss_minor_test(t, 4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_gss_is_the_flattening_rank_bound(seed):
+    # within_bound iff no flattening of any bipartition has rank > r; in order
+    # 3 every bipartition is a single mode, so that is the multilinear rank
+    rng = random.Random(seed)
+    order = rng.choice((2, 3, 4))
+    shape = tuple(rng.randint(1, 3) for _ in range(order))
+    t = rand_sum(rng, shape, rng.randint(1, 4))
+    r = rng.randint(1, 4)
+    lefts = [[1, *others] for k in range(order - 1)
+             for others in itertools.combinations(range(2, order + 1), k)]
+    assert gss_minor_test(t, r) == all(mat_rank(flatten(t, left)) <= r for left in lefts)
+    if order <= 3:
+        assert gss_minor_test(t, r) == all(rk <= r for rk in multilinear_rank(t))
+
+
+def test_gss_sizes_its_flattenings_before_building_any(monkeypatch):
+    import apolar.tensor as tensor_mod
+
+    built = []
+    monkeypatch.setattr(tensor_mod, "flatten", lambda *args: built.append(args))
+    # order 19 binary: 2^18 - 1 bipartitions of 2^19 entries each
+    with pytest.raises(ValueError, match="flattenings would have more than the limit"):
+        gss_minor_test(DenseTensor((2,) * 19, [1] * 2 ** 19), 1)
+    assert built == []
+    monkeypatch.undo()
+    # modes of extent 1 are left out: 40 of them add no bipartition
+    identity = DenseTensor((1,) * 20 + (2,) + (1,) * 20 + (2,), [1, 0, 0, 1])
+    assert not gss_minor_test(identity, 1) and gss_minor_test(identity, 2)
 
 
 def test_matmul_tensor_basics():
