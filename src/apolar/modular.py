@@ -1,20 +1,15 @@
 """Rank over GF(p) for the one prime p = 2^k - 1, k = 19, in pure Python.
 
-Each row is packed into one int, a fixed-width slot per column of
-w = 8 * ceil((2k + bitlen m) / 8) bits for m = min(rows, cols) (48 bits from 4
-to 1023 pivots), column 0 in the top slot and the last column in the bottom
-one.  Rows are converted in blocks of about 2^14 entries, one C-level
-conversion each: entries in [0, 2^32) are packed as they are, so residues
-cost no work, and only a block holding an entry outside that range is
-reduced mod p entry by entry.  A slot then starts below 2^32 and stays below
-2^32 + m 2^37 (1 + 2^-18) < 2^(2k + bitlen m), one bit spare.  Clearing a
-column below the pivot is one big-int multiply-add per row, by a multiplier
-of one CPython digit: h times the pivot row negated when h < 2^(k-1), else
-(p - h) times the pivot row.  No slot carries into the next.  As p is a
-Mersenne prime, 2^k = 1 mod p: a fold that adds each slot's bits above the
-k-th to its low k bits shrinks every slot of the pivot row at once and keeps
-its residue.  Only integer entries are accepted: a rational entry raises
-TypeError, not truncation.
+Each row of residues is packed into one int, a fixed-width slot per column
+of w = 8 * ceil((2k + bitlen m) / 8) bits for m = min(rows, cols) (48 bits
+from 4 to 1023 pivots), column 0 in the top slot and the last column in the
+bottom one, so clearing a column below the pivot is one big-int multiply-add
+per row, by a multiplier of one CPython digit: h times the pivot row negated
+when h < 2^(k-1), else (p - h) times the pivot row.  No slot carries into
+the next.  As p is a Mersenne prime, 2^k = 1 mod p: a fold that adds each
+slot's bits above the k-th to its low k bits shrinks every slot of the pivot
+row at once and keeps its residue.  Only integer entries are accepted: a
+rational entry raises TypeError, not truncation.
 
 Elimination runs from the bottom slot up, the last column first.  A row joins
 the active rows at its lowest nonzero slot, its last nonzero column; until
@@ -37,55 +32,33 @@ exact when it meets min(rows, cols), `secant.defect_report` when it meets the
 bound + 1; `--arithmetic modular` reports it as it is, a lower bound.
 """
 
-from array import array
 from bisect import bisect
 from collections import namedtuple
-from sys import byteorder
+from struct import Struct, error as StructError
 
 MODULUS = (1 << 19) - 1  # Mersenne prime 2^19 - 1
 _K = MODULUS.bit_length()  # 2^k = 1 mod p
 
-# rows[i] holds entry (i, j), or a value congruent to it, in slot cols - 1 - j:
+# rows[i] holds the residue of entry (i, j) in slot cols - 1 - j:
 # bits [(cols - 1 - j) * width, (cols - j) * width)
 Packed = namedtuple("Packed", "rows cols width size")
 
 
 def reduce_matrix(rows_of_entries):
-    """Pack an integer matrix into rows of values below 2^32 congruent to it mod p."""
+    """Reduce an integer matrix to packed rows of residues mod p."""
     rows = len(rows_of_entries)
     cols = len(rows_of_entries[0]) if rows else 0
     if not cols:
         return Packed([], 0, 0, 0)
-    # a start below 2^32 plus m = min(rows, cols) updates below 2^(2k-1) (1 + 2^(1-k))
+    # a residue plus m = min(rows, cols) updates below 2^(2k-1) (1 + 2^(1-k))
     # each stays below 2^(2k + bitlen m), with one bit spare
     width = 8 * -(-(2 * _K + min(rows, cols).bit_length()) // 8)
-    step = width // 8
-    line = step * cols
-    packed = []
-    # about 2^14 entries at a time: few conversions, and the buffers stay small
-    # beside the packed rows (a whole 462 x 462 matrix at once raised the peak
-    # resident memory of its rank by 2.5 MiB)
-    chunk = max(1, (1 << 14) // cols)
-    for top in range(0, rows, chunk):
-        block = rows_of_entries[top:top + chunk]
-        flat = array("I")
-        try:
-            try:
-                for row in block:
-                    flat.extend(row)
-            except (OverflowError, TypeError):  # an entry outside [0, 2^32), or a row of another kind
-                flat = array("I", [e % MODULUS for row in block for e in row])
-        except TypeError:
-            raise TypeError("GF(p) rank needs integer entries") from None
-        if byteorder == "little":
-            flat.byteswap()
-        # each entry big-endian in the low 4 bytes of its slot, read as one
-        # big-endian row, puts column 0 in the top slot
-        entry = flat.tobytes()
-        slots = bytearray(step * len(flat))
-        for b in range(4):
-            slots[step - 4 + b::step] = entry[b::4]
-        packed += [int.from_bytes(slots[i:i + line], "big") for i in range(0, len(slots), line)]
+    pack = Struct(">" + "%dxI" % (width // 8 - 4) * cols).pack
+    try:
+        packed = [int.from_bytes(pack(*[e % MODULUS for e in row]), "big")
+                  for row in rows_of_entries]
+    except StructError:
+        raise TypeError("GF(p) rank needs integer entries") from None
     return Packed(packed, cols, width, rows * cols)
 
 

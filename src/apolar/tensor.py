@@ -98,8 +98,10 @@ def gss_minor_test(tensor, r):
     the modes vanish, the Garcia-Stillman-Sturmfels equations; a necessary
     condition for the tensor to lie in the r-th secant of the rank-one locus.
     A mode of extent 1 changes no flattening and a flattening with a side of
-    at most r indices passes by its shape, so neither is built.  The work, one
-    flattening of all the entries per bipartition, is sized before any is built.
+    at most r indices passes by its shape, so neither is built.  The work the
+    bipartitions with two or more modes on each side add to the single-mode
+    flattenings, one flattening of all the entries each, is sized before any
+    flattening is built.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -110,7 +112,7 @@ def gss_minor_test(tensor, r):
     # each bipartition once, by its side holding the first mode of extent > 1
     modes = [m for m, d in enumerate(shape, 1) if d > 1]
     first, rest = tuple(modes[:1]), modes[1:]
-    check_entries(((1 << len(rest)) - 1, size), "flattenings")
+    check_entries((max(0, (1 << len(rest)) - 1 - len(modes)), size), "flattenings")
     for k in range(len(rest)):
         for others in combinations(rest, k):
             left = first + others

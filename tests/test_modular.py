@@ -2,7 +2,6 @@
 
 import random
 
-from array import array
 from fractions import Fraction
 
 import pytest
@@ -123,7 +122,7 @@ def test_rank_mod_equals_scalar_elimination(rows):
 
 def _profile_entry(rng):
     """Nonzero as an integer: small, negative, in [p, 2^32), at least 2^32 or a
-    multiple of p (zero mod p, but a nonzero slot until reduced)."""
+    multiple of p (zero mod p, so its row may join at an earlier column)."""
     p = modular.MODULUS
     return rng.choice([rng.randint(1, 9), rng.randint(-2 ** 40, -1), rng.randint(p, 2 ** 32 - 1),
                        rng.randint(2 ** 32, 2 ** 70), p * rng.randint(1, 8191)])
@@ -165,20 +164,6 @@ def test_rank_mod_follows_the_zero_profile(rows):
     assert modular.rank_mod(rows) == rank_mod_gauss(rows, modular.MODULUS)
 
 
-def test_blocks_packed_as_they_are_and_reduced_give_one_rank():
-    # 400 x 100 is packed in blocks of 163 rows.  Row 200, in the middle block,
-    # is negative, so only that block is reduced mod p; the others, array rows
-    # like Terracini residues, are packed as they are, entries up to 2^30.
-    rng = random.Random(400)
-    base = [[rng.randrange(1 << 20) for _ in range(100)] for _ in range(60)]
-    data = [[sum(c * x for c, x in zip(coeffs, column)) for column in zip(*base)]
-            for coeffs in ([rng.randrange(16) for _ in range(60)] for _ in range(400))]
-    data[200] = [-x for x in data[100]]
-    assert 1 << 27 < max(map(max, data)) < 1 << 30
-    packed = [row if i == 200 else array("I", row) for i, row in enumerate(data)]
-    assert modular.rank_mod(packed) == rank_mod_gauss(data, modular.MODULUS) == 60
-
-
 @pytest.mark.parametrize("short, long", [(127, 130), (128, 130)])
 @pytest.mark.parametrize("tall", [False, True])
 def test_rank_deficient_on_either_side_of_a_slot_width_step(short, long, tall):
@@ -199,10 +184,10 @@ def test_rank_deficient_on_either_side_of_a_slot_width_step(short, long, tall):
 @pytest.mark.parametrize("m, width", [
     (1, 40), (3, 40), (4, 48), (127, 48), (128, 48), (1023, 48), (1024, 56)])
 def test_slot_width_steps_at_1024_pivots(m, width):
-    # a slot starts below 2^32 (an entry packed as it is) and stays below
-    # 2^32 + m * 2^37 (1 + 2^-18) < 2^(37 + bitlen m); with one bit spare that
-    # is 40 bits up to m = 3, 48 up to 1023 and 56 from 1024.  The m x m matrix
-    # of one shared zero row is only reduced, never eliminated.
+    # a slot stays below 2^19 + m * 2^37 (1 + 2^-18) < 2^(37 + bitlen m); with
+    # one bit spare that is 40 bits up to m = 3, 48 up to 1023 and 56 from
+    # 1024.  The m x m matrix of one shared zero row is only reduced, never
+    # eliminated.
     assert modular.reduce_matrix([[0] * m] * m).width == width
 
 

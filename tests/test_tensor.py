@@ -199,10 +199,17 @@ def test_gss_sizes_its_flattenings_before_building_any(monkeypatch):
 
     built = []
     monkeypatch.setattr(tensor_mod, "flatten", lambda *args: built.append(args))
-    # order 19 binary: 2^18 - 1 bipartitions of 2^19 entries each
+    # order 19 binary: 2^18 - 1 - 19 bipartitions beyond the single modes, 2^19 entries each
     with pytest.raises(ValueError, match="flattenings would have more than the limit"):
         gss_minor_test(DenseTensor((2,) * 19, [1] * 2 ** 19), 1)
     assert built == []
+    monkeypatch.undo()
+    # only bipartitions with two or more modes on each side are charged: order 3
+    # has none, so a 74 x 74 x 74 tensor (405,224 entries) still gets an answer
+    monkeypatch.setattr(tensor_mod, "flatten", lambda t, left: built.append(left))
+    monkeypatch.setattr(tensor_mod, "mat_rank", lambda matrix: 1)
+    assert gss_minor_test(DenseTensor((74,) * 3, [0] * 74 ** 3), 1)
+    assert built == [(1,), (1, 2), (1, 3)]
     monkeypatch.undo()
     # modes of extent 1 are left out: 40 of them add no bipartition
     identity = DenseTensor((1,) * 20 + (2,) + (1,) * 20 + (2,), [1, 0, 0, 1])
