@@ -73,11 +73,15 @@ def rank_mod(rows_of_entries):
     def fold(x):
         return (x & low) + ((x >> _K) & high)
 
-    # (lowest nonzero slot, index, row) of each nonzero row, to be popped in order
+    # original indices and rows of the active rows, in that order: at first the
+    # rows nonzero in the last column
+    bottom = (1 << width) - 1
+    order = [i for i, row in enumerate(packed) if row & bottom]
+    rows = [packed[i] for i in order]
+    # (lowest nonzero slot, index, row) of each other nonzero row, to be popped in order
     pending = sorted(((((row & -row).bit_length() - 1) // width, i, row)
-                      for i, row in enumerate(packed) if row), reverse=True)
+                      for i, row in enumerate(packed) if row and not row & bottom), reverse=True)
     del packed  # a row is held once: waiting, then shifted among the active rows
-    order, rows = [], []  # original indices and rows of the active rows, in that order
     rank = c = base = 0  # at slot c; the active rows have dropped their lowest base slots
     while c < cols and (rows or pending):
         if not rows:
