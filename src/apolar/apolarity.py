@@ -13,10 +13,9 @@ from math import prod
 
 from .linalg import QMatrix, check_entries, mat_kernel, mat_rank, solve_linear
 from .poly import (HomogPoly, canonical_point, monomial_basis, monomial_count,
-                   monomial_derivatives, monomial_index, power_linear)
+                   monomial_derivatives, power_linear)
 
 
-# matrix rows: monomials of degree d-t, cols: degree t
 CatalecticantMatrix = namedtuple("CatalecticantMatrix", "form t matrix")
 # hf and perp_dims: HF(T/F-perp, t) and dim (F-perp)_t for t = 0..d+1
 ApolarProfile = namedtuple("ApolarProfile", "form hf perp_dims")
@@ -32,15 +31,16 @@ class RankCertificate(namedtuple("RankCertificate", "rank witness branch")):
 
 def catalecticant(form, t):
     """Matrix of the degree-t differentiation map against F, built from F's terms:
-    row alpha and column beta hold f_gamma * gamma!/alpha! for gamma = alpha + beta,
-    an int where f_gamma is an integer."""
+    rows are the alpha of degree d - t and columns the beta of degree t, each in
+    monomial_basis order, and entry (alpha, beta) is f_gamma * gamma!/alpha! for
+    gamma = alpha + beta, an int where f_gamma is an integer."""
     d = form.degree
     if t < 0 or t > d:
         raise ValueError("t = %d outside [0, %d]" % (t, d))
     n = form.num_vars
     check_entries((monomial_count(n, d - t), monomial_count(n, t)), "catalecticant")
-    col_index = monomial_index(n, t)
-    row_index = monomial_index(n, d - t)
+    col_index = {m: i for i, m in enumerate(monomial_basis(n, t))}
+    row_index = {m: i for i, m in enumerate(monomial_basis(n, d - t))}
     entries = [[0] * len(col_index) for _ in row_index]
     for gamma, coeff in form.terms.items():
         if coeff.denominator == 1:

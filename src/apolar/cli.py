@@ -291,24 +291,6 @@ def _cmd_ah_g(args):
 def _cmd_tensor(args):
     from .tensor import (flatten, gss_minor_test, matmul_tensor, multilinear_rank,
                          strassen_det_symbolic, strassen_matrix, tensor_to_json)
-    if args.action == "flatten":
-        t = _read_tensor(args.file)
-        modes = _int_list(args.modes)
-        matrix = flatten(t, modes)
-        result = _matrix_payload(matrix)
-        result["modes"] = modes
-        result["rank"] = mat_rank(matrix)
-        return _envelope(args, "tensor.flatten",
-                         {"shape": list(t.shape), "modes": modes}, result)
-    if args.action == "mlrank":
-        t = _read_tensor(args.file)
-        result = {"multilinear_rank": list(multilinear_rank(t))}
-        return _envelope(args, "tensor.mlrank", {"shape": list(t.shape)}, result)
-    if args.action == "strassen":
-        t = _read_tensor(args.file)
-        pencil = strassen_matrix(t)
-        result = {"rank": mat_rank(pencil), "det": format_rational(mat_det(pencil))}
-        return _envelope(args, "tensor.strassen", {"shape": list(t.shape)}, result)
     if args.action == "strassen-expand":
         sd = strassen_det_symbolic()
         result = {"terms": sd.term_count, "degree": sd.total_degree}
@@ -316,9 +298,21 @@ def _cmd_tensor(args):
     if args.action == "matmul":
         t = matmul_tensor(args.n)
         return _envelope(args, "tensor.matmul", {"n": args.n}, tensor_to_json(t))
-    t = _read_tensor(args.file)  # minors, the last of the six actions
-    result = {"bound": args.r, "within_bound": gss_minor_test(t, args.r)}
-    return _envelope(args, "tensor.minors", {"shape": list(t.shape), "r": args.r}, result)
+    t = _read_tensor(args.file)  # flatten, mlrank, strassen or minors
+    inputs = {"shape": list(t.shape)}
+    if args.action == "flatten":
+        modes = inputs["modes"] = _int_list(args.modes)
+        matrix = flatten(t, modes)
+        result = _matrix_payload(matrix) | {"modes": modes, "rank": mat_rank(matrix)}
+    elif args.action == "mlrank":
+        result = {"multilinear_rank": list(multilinear_rank(t))}
+    elif args.action == "strassen":
+        pencil = strassen_matrix(t)
+        result = {"rank": mat_rank(pencil), "det": format_rational(mat_det(pencil))}
+    else:
+        inputs["r"] = args.r
+        result = {"bound": args.r, "within_bound": gss_minor_test(t, args.r)}
+    return _envelope(args, "tensor." + args.action, inputs, result)
 
 
 def _cmd_paper_fixtures(args):

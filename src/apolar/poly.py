@@ -50,12 +50,6 @@ def monomial_count(num_vars, degree):
     return comb(num_vars - 1 + degree, degree)
 
 
-@lru_cache(maxsize=None)
-def monomial_index(num_vars, degree):
-    """Position of each exponent tuple inside monomial_basis(num_vars, degree)."""
-    return {m: i for i, m in enumerate(monomial_basis(num_vars, degree))}
-
-
 class HomogPoly:
     """Homogeneous polynomial as a sparse map from exponent tuple to Fraction."""
 
@@ -237,11 +231,7 @@ def power_linear(coefficients, degree):
     for mono in monomial_basis(n, degree):
         coeff = Fraction(d_fact)
         for c, e in zip(coefficients, mono):
-            if e:
-                if c == 0:
-                    coeff = Fraction(0)
-                    break
-                coeff *= c ** e / factorial(e)
+            coeff *= c ** e / factorial(e)
         if coeff != 0:
             terms[mono] = coeff
     return HomogPoly(n, degree, terms)

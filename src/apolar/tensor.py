@@ -98,16 +98,14 @@ def gss_minor_test(tensor, r):
     the modes vanish, the Garcia-Stillman-Sturmfels equations; a necessary
     condition for the tensor to lie in the r-th secant of the rank-one locus.
     A mode of extent 1 changes no flattening and a flattening with a side of
-    at most r indices passes by its shape, so neither is built.  The work the
-    bipartitions with two or more modes on each side add to the single-mode
-    flattenings, one flattening of all the entries each, is sized before any
-    flattening is built.
+    at most r indices passes by its shape, so neither is built: a tensor with
+    at most one mode of extent > 1, order 0 or 1 say, passes for every r >= 1,
+    as a vector has rank <= 1.  The bipartitions with two or more modes on each
+    side add one flattening of all the entries each, sized before any is built.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     shape = tensor.shape
-    if len(shape) < 2:
-        raise ValueError("multilinear rank needs order at least 2")
     size = len(tensor.entries)
     # each bipartition once, by its side holding the first mode of extent > 1
     modes = [m for m, d in enumerate(shape, 1) if d > 1]
@@ -163,7 +161,6 @@ def strassen_matrix(tensor):
 # map exponent tuples (indexed by flat tensor position 9a + 3b + c) to
 # integer coefficients.
 SymbolicDet = namedtuple("SymbolicDet", "terms term_count total_degree")
-_HEX_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _laplace(strips):
@@ -204,21 +201,20 @@ def strassen_det_symbolic():
 
     Laplace expansion by the three block rows, from the last up, each a
     strip of its 3x3 minors; a diagonal block is zero, so each block row has
-    20 column triples with a nonzero minor.  A monomial is an int with 4
-    bits per variable (no exponent exceeds 9) until the expansion is popped,
-    term by term, into exponent tuples, so one copy of the 9216 terms is
-    live at a time.
+    20 column triples with a nonzero minor.  A monomial is an int with one
+    byte per variable, variable 0 in the lowest, until the expansion is
+    popped, term by term, into exponent tuples, so one copy of the 9216
+    terms is live at a time.
     """
-    # the generic tensor: entry k is variable k, the packed monomial 1 << 4k
+    # the generic tensor: entry k is variable k, the packed monomial 1 << 8k
     cells = [{1 << c: {abs(e): e // abs(e)} for c, e in enumerate(row) if e}
-             for row in _pencil_rows([1 << 4 * k for k in range(27)])]
+             for row in _pencil_rows([1 << 8 * k for k in range(27)])]
     blocks = [_laplace(reversed(cells[top:top + 3])) for top in (6, 3, 0)]
     _, packed = _laplace(blocks).popitem()
-    # each hex digit of a packed monomial is one exponent, variable 26 first
     terms = {}
     while packed:
         mono, coeff = packed.popitem()
-        terms[tuple(("%027x" % mono).encode().translate(_HEX_DIGITS)[::-1])] = coeff
+        terms[tuple(mono.to_bytes(27, "little"))] = coeff
     return SymbolicDet(terms, len(terms), max(sum(m) for m in terms))
 
 

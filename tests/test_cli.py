@@ -158,6 +158,41 @@ def test_tensor_strassen_expand(capsys, schema):
     jsonschema.validate(env, schema)
 
 
+def test_tensor_minors_on_a_vector(capsys, tmp_path):
+    # a vector has rank <= 1, so it is within every bound; the multilinear
+    # rank, defined from order 2 on, still refuses it
+    path = tmp_path / "vector.json"
+    path.write_text(json.dumps({"shape": [3], "entries": [1, 2, 3]}))
+    code, env = run_json(capsys, "tensor", "minors", "--file", str(path), "--r", "1")
+    assert code == 0 and env["result"] == {"bound": 1, "within_bound": True}
+    assert run_cli(capsys, "tensor", "mlrank", "--file", str(path)) == (
+        2, "", "error: multilinear rank needs order at least 2\n")
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("argv, inputs", [
+    (["flatten", "--modes", "1,2"], {"shape": [3, 3, 3], "modes": [1, 2]}),
+    (["mlrank"], {"shape": [3, 3, 3]}),
+    (["strassen"], {"shape": [3, 3, 3]}),
+    (["minors", "--r", "2"], {"shape": [3, 3, 3], "r": 2}),
+    (["strassen-expand"], {}),
+    (["matmul", "--n", "1"], {"n": 1}),
+], ids=["flatten", "mlrank", "strassen", "minors", "strassen-expand", "matmul"])
+def test_tensor_command_and_inputs(argv, inputs, output, capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"rank_one_sum": [{"factors": [[1, 2, 3]] * 3}]}))
+    file = [] if argv[0] in ("strassen-expand", "matmul") else ["--file", str(path)]
+    code, out, err = run_cli(capsys, "tensor", *argv, *file, "--output", output)
+    assert (code, err) == (0, "")
+    command = "tensor." + argv[0]
+    if output == "json":
+        envelope = json.loads(out)
+        assert (envelope["command"], envelope["inputs"]) == (command, inputs)
+    else:
+        head = ["command: " + command] + ["input %s: %s" % kv for kv in sorted(inputs.items())]
+        assert out.splitlines()[:len(head)] == head
+
+
 def test_fixture_list(capsys, schema):
     code, env = run_json(capsys, "paper-fixtures", "--list")
     assert code == 0

@@ -156,6 +156,15 @@ def test_multilinear_rank_subadditive():
         assert gss_minor_test(t, r)
 
 
+def test_gss_passes_a_vector_for_every_r():
+    # no flattening is left with at most one mode of extent > 1, and a
+    # vector has rank <= 1 <= r
+    for shape in ((), (3,), (1, 3, 1)):
+        t = DenseTensor(shape, range(1, math.prod(shape) + 1))
+        for r in (1, 2, 5):
+            assert gss_minor_test(t, r)
+
+
 def test_gss_examples():
     rng = random.Random(35)
     two = rand_sum(rng, (2, 2, 2), 2)
