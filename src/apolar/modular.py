@@ -3,10 +3,10 @@
 Each row of residues is packed into one int, a fixed-width slot per column
 of w = 8 * ceil((2k + bitlen m) / 8) bits for m = min(rows, cols) (48 bits
 from 4 to 1023 pivots), column 0 in the top slot and the last column in the
-bottom one, so clearing a column below the pivot is one big-int multiply-add
-per row, by a multiplier of one CPython digit: h times the pivot row negated
-when h < 2^(k-1), else (p - h) times the pivot row.  No slot carries into
-the next.  As p is a Mersenne prime, 2^k = 1 mod p: a fold that adds each
+bottom one.  Each pivot row is scaled once to lead -1 mod p, so clearing a
+column below it is one big-int multiply-add per row, row + h * pivot, by the
+row's residue h in that column, one CPython digit.  No slot carries into the
+next.  As p is a Mersenne prime, 2^k = 1 mod p: a fold that adds each
 slot's bits above the k-th to its low k bits shrinks every slot of the pivot
 row at once and keeps its residue.  Only integer entries are accepted: a
 rational entry raises TypeError, not truncation.
@@ -48,10 +48,8 @@ def reduce_matrix(rows_of_entries):
     """Reduce an integer matrix to packed rows of residues mod p."""
     rows = len(rows_of_entries)
     cols = len(rows_of_entries[0]) if rows else 0
-    if not cols:
-        return Packed([], 0, 0, 0)
-    # a residue plus m = min(rows, cols) updates below 2^(2k-1) (1 + 2^(1-k))
-    # each stays below 2^(2k + bitlen m), with one bit spare
+    # a residue plus m = min(rows, cols) updates below (2^k - 2)(2^k + 1) < 2^(2k)
+    # each stays below 2^(2k + bitlen m)
     width = 8 * -(-(2 * _K + min(rows, cols).bit_length()) // 8)
     pack = Struct(">" + "%dxI" % (width // 8 - 4) * cols).pack
     try:
@@ -65,8 +63,6 @@ def reduce_matrix(rows_of_entries):
 def rank_mod(rows_of_entries):
     """Rank of the integer matrix over GF(p); a lower bound for the rational rank."""
     packed, cols, width, _ = reduce_matrix(rows_of_entries)
-    if not packed:
-        return 0
     low, high = (int.from_bytes(mask.to_bytes(width // 8, "little") * cols, "little")
                  for mask in (MODULUS, (1 << width - _K) - 1))
 
@@ -104,18 +100,15 @@ def rank_mod(rows_of_entries):
         else:
             continue
         del order[at]
-        # Two folds take each slot below 2^k + 2^(w-2k) + 1, scaling by a residue
-        # keeps it below 2^(2k+1) <= 2^w (as w <= 3k for every m < 2^18), and two
-        # more leave it <= 2^k + 1, leading 1 mod p (-1 in `negative`).  So an
-        # update by a multiplier below 2^(k-1) adds below 2^(2k-1) (1 + 2^(1-k)).
+        # Two folds take each slot below 2^k + 2^(w-2k) + 1, scaling by -1/lead, a
+        # residue, keeps it below 2^(2k+1) <= 2^w (as w <= 3k for every m < 2^18),
+        # and two more leave it <= 2^k + 1, leading -1 mod p.  So an update by a
+        # residue h <= p - 1 = 2^k - 2 adds below (2^k - 2)(2^k + 1) < 2^(2k).
         pivot = fold(fold(rows.pop(at)))
-        pivot = fold(fold(pivot * pow((pivot & below) >> shift, MODULUS - 2, MODULUS)))
-        negative = fold(fold(pivot * (MODULUS - 1)))
+        pivot = fold(fold(pivot * pow(-((pivot & below) >> shift), MODULUS - 2, MODULUS)))
         rank += 1
         for at, row in enumerate(rows):
             h = ((row & below) >> shift) % MODULUS
-            if h >> _K - 1:
-                rows[at] = row + (MODULUS - h) * pivot
-            elif h:
-                rows[at] = row + h * negative
+            if h:
+                rows[at] = row + h * pivot
     return rank

@@ -8,6 +8,7 @@ trials never perturbs earlier ones.
 import random
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment
 _COEFF_BOUND = 1000
 # samples a secant-dimension report takes at most: a rank below the proven
 # upper bound may come from a special sample, so another is drawn.  Every
@@ -19,7 +20,7 @@ CHART_BOUND = 1 << 16
 
 def splitmix64(state):
     """Advance the splitmix64 generator once; returns (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    state = (state + _GAMMA) & _MASK64
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -28,12 +29,9 @@ def splitmix64(state):
 
 
 def derive_seed(master_seed, index):
-    """Seed for sub-computation `index` derived from the master seed."""
-    state = master_seed & _MASK64
-    out = 0
-    for _ in range(index + 1):
-        state, out = splitmix64(state)
-    return out
+    """Seed for sub-computation `index` derived from the master seed: the output
+    of splitmix64's step index + 1 from it, at state master_seed + (index + 1) * _GAMMA."""
+    return splitmix64((master_seed + index * _GAMMA) & _MASK64)[1]
 
 
 def trial_rng(master_seed, index):

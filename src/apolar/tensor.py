@@ -71,6 +71,8 @@ def flatten(tensor, left_modes):
     """Matrix of the tensor with the given modes (1-based) indexing rows."""
     shape = tensor.shape
     order = len(shape)
+    if order < 2:
+        raise ValueError("a tensor of order %d has no flattening" % order)
     left = set(left_modes)
     if not left or any(m < 1 or m > order for m in left) or len(left) >= order:
         raise ValueError("left modes must be a nonempty proper subset of 1..%d" % order)

@@ -167,6 +167,8 @@ def test_tensor_minors_on_a_vector(capsys, tmp_path):
     assert code == 0 and env["result"] == {"bound": 1, "within_bound": True}
     assert run_cli(capsys, "tensor", "mlrank", "--file", str(path)) == (
         2, "", "error: multilinear rank needs order at least 2\n")
+    assert run_cli(capsys, "tensor", "flatten", "--file", str(path), "--modes", "1") == (
+        2, "", "error: a tensor of order 1 has no flattening\n")
 
 
 @pytest.mark.parametrize("output", ["text", "json"])

@@ -56,6 +56,16 @@ def test_rank_mod_detects_char_p_degeneration():
         assert mat_rank(QMatrix.from_rows(rows)) == 2
 
 
+def test_rank_zero_without_a_special_case():
+    # no rows, no columns and rows zero mod p all leave the elimination loop
+    # with nothing to pivot on
+    p = modular.MODULUS
+    for rows in ([], [[]], [[], []], [[0, 0]], [[p, 2 * p], [0, -p]]):
+        assert modular.rank_mod(rows) == 0
+    for matrix in (QMatrix(0, 0, []), QMatrix(2, 0, []), QMatrix.from_rows([[0] * 3] * 2)):
+        assert mat_rank(matrix) == 0
+
+
 def test_fraction_entries_rejected():
     # the matrix is singular over Q; truncating 1/2 to 0 would give rank 2
     with pytest.raises(TypeError):
@@ -184,35 +194,36 @@ def test_rank_deficient_on_either_side_of_a_slot_width_step(short, long, tall):
 @pytest.mark.parametrize("m, width", [
     (1, 40), (3, 40), (4, 48), (127, 48), (128, 48), (1023, 48), (1024, 56)])
 def test_slot_width_steps_at_1024_pivots(m, width):
-    # a slot stays below 2^19 + m * 2^37 (1 + 2^-18) < 2^(37 + bitlen m); with
-    # one bit spare that is 40 bits up to m = 3, 48 up to 1023 and 56 from
-    # 1024.  The m x m matrix of one shared zero row is only reduced, never
-    # eliminated.
+    # a slot stays below 2^19 + m (2^19 - 2)(2^19 + 1) < 2^(38 + bitlen m); in
+    # whole bytes that is 40 bits up to m = 3, 48 up to 1023 and 56 from 1024.
+    # The m x m matrix of one shared zero row is only reduced, never eliminated.
     assert modular.reduce_matrix([[0] * m] * m).width == width
 
 
 @pytest.mark.parametrize("tall", [False, True])
 def test_rank_of_a_mixed_trapezoid_at_realistic_size(tall):
-    # 300 unit-trapezoidal rows and 40 zero rows in 320 columns have rank 300
-    # over every field, and row operations with integer multipliers keep it
+    # `rank` unit-trapezoidal rows and rows - rank zero rows in `cols` columns
+    # have that rank over every field, and row operations with integer
+    # multipliers keep it.  The second size puts m = min(rows, cols) in the
+    # 512..1023 band, whose 48-bit slots keep no bit spare above the bound.
     p = modular.MODULUS
-    rng = random.Random(300)
-    rows, cols, rank = 340, 320, 300
-    leads = sorted(rng.sample(range(cols), rank))
-    data = [[0] * lead + [1] + [rng.randrange(p) for _ in range(cols - lead - 1)]
-            for lead in leads] + [[0] * cols for _ in range(rows - rank)]
-    for a in range(1, rows):  # fill column leads[0], the first pivot column
-        c = rng.randrange(p)
-        data[a] = [x + c * y for x, y in zip(data[a], data[0])]
-    for _ in range(2 * rows):
-        a, b = rng.sample(range(rows), 2)
-        c = rng.randrange(p)
-        data[a] = [x + c * y for x, y in zip(data[a], data[b])]
-    rng.shuffle(data)
-    # the first pivot clears rows with residues h below 2^18, through
-    # `negative`, and at least 2^18, through `pivot`
-    heads = [h for h in (row[leads[0]] % p for row in data) if h]
-    assert {h >> 18 for h in heads[1:]} == {0, 1}
-    if tall:
-        data = [list(column) for column in zip(*data)]
-    assert modular.rank_mod(data) == rank
+    for rows, cols, rank in [(340, 320, 300), (560, 540, 520)]:
+        rng = random.Random(rank)
+        leads = sorted(rng.sample(range(cols), rank))
+        data = [[0] * lead + [1] + [rng.randrange(p) for _ in range(cols - lead - 1)]
+                for lead in leads] + [[0] * cols for _ in range(rows - rank)]
+        for a in range(1, rows):  # fill column leads[0], the first pivot column
+            c = rng.randrange(p)
+            data[a] = [x + c * y for x, y in zip(data[a], data[0])]
+        for _ in range(2 * rows):
+            a, b = rng.sample(range(rows), 2)
+            c = rng.randrange(p)
+            data[a] = [x + c * y for x, y in zip(data[a], data[b])]
+        rng.shuffle(data)
+        # the first pivot clears rows with residues h below and above 2^18, so
+        # the updates take multipliers from the whole range 1..p - 1 the bound allows
+        heads = [h for h in (row[leads[0]] % p for row in data) if h]
+        assert {h >> 18 for h in heads[1:]} == {0, 1}
+        if tall:
+            data = [list(column) for column in zip(*data)]
+        assert modular.rank_mod(data) == rank

@@ -85,6 +85,13 @@ def test_flatten_mode_validation():
         flatten(t, [4])
 
 
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_flatten_needs_order_at_least_2(shape):
+    t = DenseTensor(shape, [5] * math.prod(shape))
+    with pytest.raises(ValueError, match="^a tensor of order %d has no flattening$" % len(shape)):
+        flatten(t, [1])
+
+
 _ENTRY = st.integers(-9, 9) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 
